@@ -77,22 +77,7 @@ std::size_t PlanEvaluator::PlanKeyHash::operator()(
 
 void PlanEvaluator::clear_staging_cache() {
   segment_cache_.clear();
-  plan_cache_.clear();
   segment_cache_bytes_ = 0;
-  plan_cache_bytes_ = 0;
-}
-
-std::size_t PlanEvaluator::device_plan_bytes(const DevicePlan& dev) {
-  // Array payloads plus a flat allowance for the map node + shared_ptr
-  // control block; precise enough to meter the cap, cheap enough to keep on
-  // the staging path.
-  return dev.bin_offsets.capacity() * sizeof(std::size_t) +
-         dev.columns.capacity() * sizeof(AliasColumn) +
-         (dev.cpu.capacity() + dev.price_per_s.capacity() +
-          dev.price_hour.capacity() + dev.group_price_hour.capacity()) *
-             sizeof(double) +
-         dev.group.capacity() * sizeof(std::int32_t) +
-         dev.group_size.capacity() * sizeof(std::uint32_t) + 160;
 }
 
 std::size_t PlanEvaluator::segment_bytes(const TaskSegment& seg) {
@@ -103,20 +88,13 @@ void PlanEvaluator::enforce_memory_budget() {
   util::BudgetTracker* const budget = budget_;
   if (budget == nullptr || !budget->active()) return;
   using Component = util::BudgetTracker::Component;
-  budget->set_bytes(Component::kPlanCache, plan_cache_bytes_);
   budget->set_bytes(Component::kSegmentCache, segment_cache_bytes_);
   if (budget->memory_budget() == 0 || !budget->over_memory_budget()) return;
 
   // Degradation ladder, cheapest-to-rebuild first.  Eviction is
-  // result-neutral: cached entries are pure functions of their keys, so a
-  // later re-stage reproduces them bit-identically.
-  if (!plan_cache_.empty()) {
-    DECO_OBS_COUNTER_ADD("budget.evictions.plan_images", plan_cache_.size());
-    plan_cache_.clear();
-    plan_cache_bytes_ = 0;
-    budget->set_bytes(Component::kPlanCache, 0);
-  }
-  if (budget->over_memory_budget() && !segment_cache_.empty()) {
+  // result-neutral: segments are pure functions of their keys, so a later
+  // re-stage reproduces them bit-identically.
+  if (!segment_cache_.empty()) {
     DECO_OBS_COUNTER_ADD("budget.evictions.segments", segment_cache_.size());
     segment_cache_.clear();
     segment_cache_bytes_ = 0;
@@ -176,63 +154,46 @@ const PlanEvaluator::TaskSegment& PlanEvaluator::segment(
   return segment_cache_.emplace(key, std::move(seg)).first->second;
 }
 
-std::shared_ptr<const PlanEvaluator::DevicePlan> PlanEvaluator::stage(
-    const sim::Plan& plan) {
-  if (const auto it = plan_cache_.find(plan); it != plan_cache_.end()) {
-    ++cache_stats_.plan_hits;
-    DECO_OBS_COUNTER_ADD("eval.cache.plan_hits", 1);
-    return it->second;
-  }
-  ++cache_stats_.plan_misses;
-  DECO_OBS_COUNTER_ADD("eval.cache.plan_misses", 1);
-
-  auto dev = std::make_shared<DevicePlan>();
+PlanEvaluator::DevicePlan PlanEvaluator::stage(const sim::Plan& plan) {
+  DevicePlan dev;
   const std::size_t n = wf_->task_count();
-  dev->bin_offsets.assign(n + 1, 0);
-  dev->cpu.resize(n);
-  dev->price_per_s.resize(n);
-  dev->price_hour.resize(n);
-  dev->group.resize(n);
+  dev.bin_offsets.assign(n + 1, 0);
+  dev.cpu.resize(n);
+  dev.price_per_s.resize(n);
+  dev.price_hour.resize(n);
+  dev.group.resize(n);
   // All per-position arrays in topological order: position p = task topo_[p].
   for (std::size_t p = 0; p < n; ++p) {
     const workflow::TaskId t = topo_[p];
     const TaskSegment& seg = segment(t, plan[t].vm_type);
-    dev->bin_offsets[p + 1] = dev->bin_offsets[p] + seg.columns.size();
-    dev->cpu[p] = seg.cpu;
-    dev->price_hour[p] =
+    dev.bin_offsets[p + 1] = dev.bin_offsets[p] + seg.columns.size();
+    dev.cpu[p] = seg.cpu;
+    dev.price_hour[p] =
         estimator_->catalog().price(plan[t].vm_type, plan[t].region);
-    dev->price_per_s[p] = dev->price_hour[p] / 3600.0;
-    dev->group[p] = plan[t].group;
-    dev->group_slots = std::max(dev->group_slots,
-                                static_cast<std::size_t>(plan[t].group + 1));
+    dev.price_per_s[p] = dev.price_hour[p] / 3600.0;
+    dev.group[p] = plan[t].group;
+    dev.group_slots = std::max(dev.group_slots,
+                               static_cast<std::size_t>(plan[t].group + 1));
   }
-  dev->columns.reserve(dev->bin_offsets.back());
+  dev.columns.reserve(dev.bin_offsets.back());
   for (std::size_t p = 0; p < n; ++p) {
     const TaskSegment& seg = segment(topo_[p], plan[topo_[p]].vm_type);
-    dev->columns.insert(dev->columns.end(), seg.columns.begin(),
-                        seg.columns.end());
+    dev.columns.insert(dev.columns.end(), seg.columns.begin(),
+                       seg.columns.end());
   }
   // Per-group billing constants (billed-hours model): the hourly price slot
   // is written in ascending task-id order, so the highest-id member's type
   // wins — matching the pre-cache per-lane map behaviour.
-  dev->group_price_hour.assign(dev->group_slots, 0.0);
-  dev->group_size.assign(dev->group_slots, 0);
+  dev.group_price_hour.assign(dev.group_slots, 0.0);
+  dev.group_size.assign(dev.group_slots, 0);
   for (workflow::TaskId t = 0; t < n; ++t) {
     if (plan[t].group >= 0) {
       const auto g = static_cast<std::size_t>(plan[t].group);
-      dev->group_price_hour[g] =
+      dev.group_price_hour[g] =
           estimator_->catalog().price(plan[t].vm_type, plan[t].region);
-      ++dev->group_size[g];
+      ++dev.group_size[g];
     }
   }
-
-  if (plan_cache_.size() >= kMaxCachedPlans) {
-    plan_cache_.clear();
-    plan_cache_bytes_ = 0;
-  }
-  plan_cache_bytes_ += device_plan_bytes(*dev) +
-                       plan.placements.size() * sizeof(sim::TaskPlacement);
-  plan_cache_.emplace(plan, dev);
   return dev;
 }
 
@@ -424,10 +385,10 @@ std::vector<PlanEvaluation> PlanEvaluator::evaluate_batch(
   util::BudgetTracker* const budget = budget_;
   enforce_memory_budget();
 
-  // Stage all plans on the host (the "global memory" image).  Staging goes
-  // through the two-level cache and is done serially; kernels then run in
-  // parallel against the shared read-only images.
-  std::vector<std::shared_ptr<const DevicePlan>> staged;
+  // Stage all plans on the host (the "global memory" image).  Staging reads
+  // through the segment cache and is done serially; kernels then run in
+  // parallel against the read-only images.
+  std::vector<DevicePlan> staged;
   staged.reserve(plans.size());
   {
     DECO_OBS_SPAN_TIMED("eval", "stage", "eval.stage_ms");
@@ -461,7 +422,7 @@ std::vector<PlanEvaluation> PlanEvaluator::evaluate_batch(
   {
   DECO_OBS_SPAN_TIMED("eval", "kernel", "eval.kernel_ms");
   backend_->launch(config, [&](vgpu::BlockContext& ctx) {
-    const DevicePlan& dev = *staged[ctx.block_index()];
+    const DevicePlan& dev = staged[ctx.block_index()];
     auto shared = ctx.shared();
     const bool billed = cost_model == CostModel::kBilledHours;
 
@@ -715,7 +676,7 @@ std::vector<ScreenedEvaluation> PlanEvaluator::evaluate_batch_adaptive(
   util::BudgetTracker* const budget = budget_;
   enforce_memory_budget();
 
-  std::vector<std::shared_ptr<const DevicePlan>> staged;
+  std::vector<DevicePlan> staged;
   staged.reserve(plans.size());
   {
     DECO_OBS_SPAN_TIMED("eval", "stage", "eval.stage_ms");
@@ -755,7 +716,7 @@ std::vector<ScreenedEvaluation> PlanEvaluator::evaluate_batch_adaptive(
     DECO_OBS_SPAN_TIMED("eval", "qmc_kernel", "eval.kernel_ms");
     backend_->launch(config, [&](vgpu::BlockContext& ctx) {
       const std::size_t block = ctx.block_index();
-      const DevicePlan& dev = *staged[block];
+      const DevicePlan& dev = staged[block];
       const bool billed = cost_model == CostModel::kBilledHours;
       const std::size_t tile =
           std::min(std::max<std::size_t>(options_.qmc_batch, 1), cap);

@@ -15,9 +15,9 @@
 // docs/performance.md):
 //   * bins are drawn through Walker/Vose alias tables instead of a binary
 //     CDF search;
-//   * per-(task, vm type) staged segments and whole per-plan device images
-//     are cached, so the mostly-overlapping plans a search wave produces are
-//     staged once and reused across batches;
+//   * per-(task, vm type) staged segments are cached, so the
+//     mostly-overlapping plans a search wave produces share their staging
+//     work and each plan image is assembled by copying cached columns;
 //   * lane scratch lives in the block context's reusable arena, not in
 //     per-lane heap allocations.
 #pragma once
@@ -133,11 +133,9 @@ struct PlanEvaluation {
   bool feasible = false;         ///< deadline_prob >= quantile
 };
 
-/// Hit/miss counters for the two staging cache levels (diagnostics; the
+/// Hit/miss counters for the segment staging cache (diagnostics; the
 /// determinism tests also use them to prove the cached path was exercised).
 struct StagingCacheStats {
-  std::size_t plan_hits = 0;
-  std::size_t plan_misses = 0;
   std::size_t segment_hits = 0;
   std::size_t segment_misses = 0;
 };
@@ -204,23 +202,21 @@ class PlanEvaluator {
 
   const StagingCacheStats& cache_stats() const { return cache_stats_; }
   const ScreenStats& screen_stats() const { return screen_stats_; }
-  /// Drops both cache levels (e.g. after the estimator was recalibrated).
+  /// Drops the segment cache (e.g. after the estimator was recalibrated).
   void clear_staging_cache();
 
   /// Arms (or disarms, with nullptr) a per-solve budget.  Batch entry points
-  /// publish cache bytes, run the memory degradation ladder (drop whole-plan
-  /// device images, then segments, then request a visited-set shrink from
-  /// the driver), and checkpoint the kernels at block entry and every tile
-  /// boundary, throwing BudgetExhaustedError once a trigger fires.  A budget
-  /// that never fires leaves results bit-identical: checkpoints only read,
-  /// and cache eviction is result-neutral by construction.
+  /// publish cache bytes, run the memory degradation ladder (drop the
+  /// segments, then request a visited-set shrink from the driver), and
+  /// checkpoint the kernels at block entry and every tile boundary, throwing
+  /// BudgetExhaustedError once a trigger fires.  A budget that never fires
+  /// leaves results bit-identical: checkpoints only read, and cache eviction
+  /// is result-neutral by construction.
   void set_budget(util::BudgetTracker* budget) { budget_ = budget; }
   util::BudgetTracker* budget() const { return budget_; }
-  /// Resident bytes of the two staging-cache levels (approximate; what the
-  /// memory budget meters).
-  std::size_t cache_bytes() const {
-    return plan_cache_bytes_ + segment_cache_bytes_;
-  }
+  /// Resident bytes of the segment cache (approximate; what the memory
+  /// budget meters).
+  std::size_t cache_bytes() const { return segment_cache_bytes_; }
 
  private:
   /// One pre-resolved alias-table column: a draw that lands in this column
@@ -263,7 +259,7 @@ class PlanEvaluator {
   };
 
   const TaskSegment& segment(workflow::TaskId task, cloud::TypeId type);
-  std::shared_ptr<const DevicePlan> stage(const sim::Plan& plan);
+  DevicePlan stage(const sim::Plan& plan);
   PlanEvaluation reduce(std::span<const double> makespans,
                         std::span<const double> costs,
                         const ProbDeadline& req) const;
@@ -284,7 +280,6 @@ class PlanEvaluator {
   /// memory cap, runs the degradation ladder.  Called at batch entry (before
   /// staging grows the caches further); no-op without an armed budget.
   void enforce_memory_budget();
-  static std::size_t device_plan_bytes(const DevicePlan& dev);
   static std::size_t segment_bytes(const TaskSegment& seg);
 
   /// Task-major tile evaluation shared by the fixed-iteration MC kernel and
@@ -321,21 +316,17 @@ class PlanEvaluator {
   // sink rows into its makespan accumulator.
   std::vector<std::uint8_t> sink_;
 
+  // Hash of the whole placement vector; each block's seed derives from it, so
+  // a plan's score does not depend on which batch it was evaluated in.
   struct PlanKeyHash {
     std::size_t operator()(const sim::Plan& plan) const;
   };
 
-  // Two-level staging cache.  Segments are keyed by (task, vm type) — the
-  // estimator's distributions are deterministic per key, so entries never
-  // invalidate.  Device plans are keyed by the whole placement vector and
-  // evicted wholesale when the map grows past kMaxCachedPlans (search waves
-  // revisit recent plans, so epoch eviction keeps the working set hot).
-  static constexpr std::size_t kMaxCachedPlans = 4096;
+  // Staging cache, keyed by (task, vm type): the estimator's distributions
+  // are deterministic per key, so entries never invalidate.  Plan images are
+  // assembled per batch from these segments and not cached themselves.
   std::unordered_map<std::uint64_t, TaskSegment> segment_cache_;
-  std::unordered_map<sim::Plan, std::shared_ptr<const DevicePlan>, PlanKeyHash>
-      plan_cache_;
   StagingCacheStats cache_stats_;
-  std::size_t plan_cache_bytes_ = 0;
   std::size_t segment_cache_bytes_ = 0;
   util::BudgetTracker* budget_ = nullptr;  // borrowed; null = unbudgeted
 

@@ -89,8 +89,8 @@ solve budgets (plan, run, solve, stats):
   --solve-budget-ms N    wall-clock budget for the solve; when it fires the
                          solver returns its best plan so far (exit code 5)
   --memory-budget-mb N   cap on resident solver caches; the engine degrades
-                         (drops device images, segments, shrinks the visited
-                         set) before cutting the solve
+                         (drops staged segments, shrinks the visited set)
+                         before cutting the solve
 
 exit codes:
   0  success

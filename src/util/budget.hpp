@@ -72,19 +72,17 @@ struct SolveReport {
 //
 // Memory accounting is cooperative: each cache owner publishes its resident
 // bytes via set_bytes(); over_memory_budget() compares the sum to the cap.
-// The degradation ladder runs before kMemory fires — the evaluator drops
-// whole-plan device images, then segments, then requests a visited-set
-// shrink from the search driver (request_visited_shrink); only when nothing
-// is left to evict does a layer call fire(kMemory).
+// The degradation ladder runs before kMemory fires — the evaluator drops its
+// staged segments, then requests a visited-set shrink from the search driver
+// (request_visited_shrink); only when nothing is left to evict does a layer
+// call fire(kMemory).
 class BudgetTracker {
  public:
   enum class Component : std::size_t {
-    kPlanCache = 0,
-    kSegmentCache,
+    kSegmentCache = 0,
     kVisited,
-    kOther,
   };
-  static constexpr std::size_t kComponents = 4;
+  static constexpr std::size_t kComponents = 2;
 
   // Inert tracker: never fires, all checkpoints are no-ops.
   BudgetTracker() = default;

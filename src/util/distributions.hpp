@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cmath>
+#include <cstdint>
 #include <span>
 #include <string>
 
@@ -75,7 +76,9 @@ double log_gamma(double x);
 
 /// Tagged union over the families the metadata store can persist.
 struct Distribution {
-  enum class Kind { kNormal, kGamma, kUniform, kPareto };
+  /// 64-bit so the struct has no padding: its byte image (which gtest
+  /// prints for value-parameterized tests) is fully determined.
+  enum class Kind : std::int64_t { kNormal, kGamma, kUniform, kPareto };
 
   Kind kind = Kind::kNormal;
   double a = 0;  ///< mu | k | lo | xm

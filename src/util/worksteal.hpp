@@ -1,12 +1,10 @@
 // Work-stealing index-range dispatcher — the launch path of the virtual-GPU
 // backend (src/vgpu).
 //
-// ThreadPool's queue is fine for coarse independent jobs, but its launch path
-// costs one std::function + packaged_task/future allocation per chunk and one
-// mutex round-trip per dequeue, and a static contiguous partition cannot
-// rebalance when blocks have skewed runtimes (a search wave mixes cached and
-// uncached plans).  This dispatcher drives a *fixed index range* [0, n) with
-// classic range stealing instead:
+// A launch needs no per-chunk allocation or queue mutex, and must rebalance
+// when blocks have skewed runtimes (a search wave mixes cheap and expensive
+// plans), which a static contiguous partition cannot.  This dispatcher drives
+// a *fixed index range* [0, n) with classic range stealing:
 //
 //   * every participant (each worker, plus the calling thread) owns a deque
 //     of block indices, represented as a begin/end pair packed into one

@@ -117,10 +117,9 @@ TEST(SchedulingBudgetTest, TinyWallBudgetYieldsAnytimePlanOnPaperWorkflows) {
 }
 
 TEST(SchedulingBudgetTest, MemoryBudgetDegradesBeforeCutting) {
-  // A small-but-livable memory cap: the evaluator's ladder (drop plan
-  // images, drop segments, shrink visited) must keep the solve going — the
-  // solve completes and the plan is full size whether or not the cap
-  // eventually fired.
+  // A small-but-livable memory cap: the evaluator's ladder (drop segments,
+  // shrink visited) must keep the solve going — the solve completes and the
+  // plan is full size whether or not the cap eventually fired.
   util::Rng rng(11);
   SchedEnv env(workflow::make_montage(1, rng));
   util::SolveBudget spec;

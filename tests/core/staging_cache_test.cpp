@@ -1,8 +1,10 @@
-// Regression tests for the evaluator's staged-plan cache and the alias-method
-// sampling path:
+// Regression tests for the evaluator's segment staging cache, its memory
+// degradation ladder, and the alias-method sampling path:
 //   * a plan's PlanEvaluation must be bit-identical whether it is evaluated
 //     solo, inside a batch, or again through the fully cached staging path,
 //     on both the serial and the vgpu backend;
+//   * a memory budget below one batch's segment bytes evicts the segments
+//     and asks the search driver to shrink, without changing any score;
 //   * the alias-table sampler must draw from the same distribution as the
 //     histogram's inverse-CDF search (two-sample Kolmogorov-Smirnov test on
 //     calibration histograms).
@@ -13,8 +15,10 @@
 #include <vector>
 
 #include "core/evaluator.hpp"
+#include "obs/obs.hpp"
 #include "tests/core/test_fixtures.hpp"
 #include "util/alias_table.hpp"
+#include "util/budget.hpp"
 #include "util/rng.hpp"
 #include "workflow/generators.hpp"
 
@@ -76,10 +80,11 @@ TEST_P(StagingCacheTest, SoloBatchedAndCachedAreBitIdenticalOnBothBackends) {
   const auto batched = eval.evaluate_batch(batch, req);
   expect_bitwise_equal(batched[1], solo);
 
-  // Fully cached staging path: the plan image is served from the plan cache.
-  const std::size_t hits_before = eval.cache_stats().plan_hits;
+  // Fully cached staging path: every segment is served from the cache.
+  const StagingCacheStats before = eval.cache_stats();
   const PlanEvaluation cached = eval.evaluate(plan, req);
-  EXPECT_GT(eval.cache_stats().plan_hits, hits_before);
+  EXPECT_GT(eval.cache_stats().segment_hits, before.segment_hits);
+  EXPECT_EQ(eval.cache_stats().segment_misses, before.segment_misses);
   expect_bitwise_equal(cached, solo);
 
   // Dropping the caches and re-staging must reproduce the same image.
@@ -99,30 +104,6 @@ INSTANTIATE_TEST_SUITE_P(CostModels, StagingCacheTest,
                          ::testing::Values(CostModel::kProrated,
                                            CostModel::kBilledHours));
 
-TEST(StagingCacheStatsTest, SecondBatchHitsPlanCacheWithoutRestaging) {
-  const auto wf = small_montage();
-  const std::size_t n = wf.task_count();
-  TaskTimeEstimator est(ec2(), store());
-  vgpu::SerialBackend backend;
-  PlanEvaluator eval(wf, est, backend);
-  const ProbDeadline req{0.95, 3000};
-
-  const std::vector<sim::Plan> batch{mixed_plan(n), sim::Plan::uniform(n, 1)};
-  eval.evaluate_batch(batch, req);
-  const auto first = eval.cache_stats();
-  EXPECT_EQ(first.plan_hits, 0u);
-  EXPECT_EQ(first.plan_misses, 2u);
-  EXPECT_GT(first.segment_misses, 0u);
-
-  eval.evaluate_batch(batch, req);
-  const auto second = eval.cache_stats();
-  EXPECT_EQ(second.plan_hits, 2u);
-  EXPECT_EQ(second.plan_misses, first.plan_misses);
-  // Plan-cache hits never re-stage segments.
-  EXPECT_EQ(second.segment_misses, first.segment_misses);
-  EXPECT_EQ(second.segment_hits, first.segment_hits);
-}
-
 TEST(StagingCacheStatsTest, HitMissArithmeticHoldsAcrossInterleavedClears) {
   const auto wf = small_montage();
   const std::size_t n = wf.task_count();
@@ -132,49 +113,89 @@ TEST(StagingCacheStatsTest, HitMissArithmeticHoldsAcrossInterleavedClears) {
   const ProbDeadline req{0.95, 3000};
   const sim::Plan plan = mixed_plan(n);
 
-  // Cold evaluate: one plan miss; staging reads every position's segment
-  // twice (layout pass + column copy), so n misses then n hits.
+  // Cold evaluate: staging reads every position's segment twice (layout
+  // pass + column copy), so n misses then n hits.
   eval.evaluate(plan, req);
   auto s = eval.cache_stats();
-  EXPECT_EQ(s.plan_misses, 1u);
-  EXPECT_EQ(s.plan_hits, 0u);
   EXPECT_EQ(s.segment_misses, n);
   EXPECT_EQ(s.segment_hits, n);
 
-  // Warm evaluate: served from the plan cache, no segment traffic at all.
+  // Warm evaluate: both passes hit, no segment is staged again.
   eval.evaluate(plan, req);
   s = eval.cache_stats();
-  EXPECT_EQ(s.plan_hits, 1u);
-  EXPECT_EQ(s.plan_misses, 1u);
   EXPECT_EQ(s.segment_misses, n);
-  EXPECT_EQ(s.segment_hits, n);
+  EXPECT_EQ(s.segment_hits, 3 * n);
 
-  // clear_staging_cache() drops the caches but never rewinds the stats.
+  // clear_staging_cache() drops the cache but never rewinds the stats.
   eval.clear_staging_cache();
-  EXPECT_EQ(eval.cache_stats().plan_hits, 1u);
-  EXPECT_EQ(eval.cache_stats().plan_misses, 1u);
   EXPECT_EQ(eval.cache_stats().segment_misses, n);
-  EXPECT_EQ(eval.cache_stats().segment_hits, n);
+  EXPECT_EQ(eval.cache_stats().segment_hits, 3 * n);
 
   // Post-clear evaluate restages from scratch: the deltas repeat the cold
   // pattern exactly, on top of the preserved totals.
   eval.evaluate(plan, req);
   s = eval.cache_stats();
-  EXPECT_EQ(s.plan_misses, 2u);
-  EXPECT_EQ(s.plan_hits, 1u);
   EXPECT_EQ(s.segment_misses, 2 * n);
-  EXPECT_EQ(s.segment_hits, 2 * n);
+  EXPECT_EQ(s.segment_hits, 4 * n);
 
-  // A second clear between two warm evaluates: hits continue to accumulate
+  // A second clear between two evaluates: hits continue to accumulate
   // monotonically — stats are an append-only ledger, not cache state.
   eval.evaluate(plan, req);
   eval.clear_staging_cache();
   eval.evaluate(plan, req);
   s = eval.cache_stats();
-  EXPECT_EQ(s.plan_hits, 2u);
-  EXPECT_EQ(s.plan_misses, 3u);
   EXPECT_EQ(s.segment_misses, 3 * n);
-  EXPECT_EQ(s.segment_hits, 3 * n);
+  EXPECT_EQ(s.segment_hits, 7 * n);
+}
+
+TEST(StagingCacheStatsTest, MemoryBudgetEvictsSegmentsThenRequestsShrink) {
+  const auto wf = small_montage();
+  const std::size_t n = wf.task_count();
+  TaskTimeEstimator est(ec2(), store());
+  vgpu::SerialBackend backend;
+  const ProbDeadline req{0.95, 3000};
+  const std::vector<sim::Plan> batch{mixed_plan(n), sim::Plan::uniform(n, 3)};
+
+  PlanEvaluator plain(wf, est, backend);
+  const auto expected = plain.evaluate_batch(batch, req);
+  const std::size_t batch_segment_bytes = plain.cache_bytes();
+  const std::size_t batch_segment_misses = plain.cache_stats().segment_misses;
+  ASSERT_GT(batch_segment_bytes, 0u);
+
+  obs::Registry::instance().reset();
+  obs::Registry::instance().set_enabled(true);
+  util::SolveBudget spec;
+  spec.max_bytes = batch_segment_bytes / 2;
+  util::BudgetTracker tracker(spec);
+  PlanEvaluator eval(wf, est, backend);
+  eval.set_budget(&tracker);
+
+  // The cap only binds at the next batch entry; the first batch stages
+  // every segment and grows past it.
+  const auto first = eval.evaluate_batch(batch, req);
+  EXPECT_GT(eval.cache_bytes(), spec.max_bytes);
+
+  // A visited set larger than the cap stays over budget after the segments
+  // go, so the ladder's last rung asks the driver to shrink it.
+  tracker.set_bytes(util::BudgetTracker::Component::kVisited,
+                    spec.max_bytes + 1);
+  const auto second = eval.evaluate_batch(batch, req);
+  const auto counters = obs::Registry::instance().snapshot().counters;
+  obs::Registry::instance().set_enabled(false);
+  obs::Registry::instance().reset();
+
+  if (obs::kCompiledIn) {
+    EXPECT_EQ(counters.at("budget.evictions.segments"), batch_segment_misses);
+  }
+  // Evicted segments are staged again: the second batch misses as often as
+  // the first.
+  EXPECT_EQ(eval.cache_stats().segment_misses, 2 * batch_segment_misses);
+  EXPECT_TRUE(tracker.consume_visited_shrink_request());
+  EXPECT_FALSE(tracker.exhausted());
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    expect_bitwise_equal(first[i], expected[i]);
+    expect_bitwise_equal(second[i], expected[i]);
+  }
 }
 
 // Two-sample Kolmogorov-Smirnov test: bins drawn through the alias table and

@@ -113,7 +113,7 @@ TEST_F(GoldenTraceTest, Montage25PlanEvaluationStructureIsStable) {
   for (std::size_t t = 0; t < wf.task_count(); t += 3) plan[t].vm_type = 2;
   const std::vector<sim::Plan> batch{plan, sim::Plan::uniform(wf.task_count(), 0)};
   (void)eval.evaluate_batch(batch, req);  // cold caches
-  (void)eval.evaluate(plan, req);         // plan-cache hit path
+  (void)eval.evaluate(plan, req);         // segment-cache hit path
 
   check_golden("montage_eval_trace.txt",
                normalize(TraceCollector::instance().snapshot(), false));

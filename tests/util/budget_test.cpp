@@ -93,13 +93,13 @@ TEST(BudgetTrackerTest, MemoryAccountingSumsComponents) {
   budget.max_bytes = 1000;
   BudgetTracker tracker(budget);
   EXPECT_FALSE(tracker.over_memory_budget());
-  tracker.set_bytes(BudgetTracker::Component::kPlanCache, 600);
-  tracker.set_bytes(BudgetTracker::Component::kSegmentCache, 300);
+  tracker.set_bytes(BudgetTracker::Component::kSegmentCache, 600);
+  tracker.set_bytes(BudgetTracker::Component::kVisited, 300);
   EXPECT_EQ(tracker.total_bytes(), 900u);
   EXPECT_FALSE(tracker.over_memory_budget());
-  tracker.set_bytes(BudgetTracker::Component::kVisited, 200);
+  tracker.set_bytes(BudgetTracker::Component::kVisited, 500);
   EXPECT_TRUE(tracker.over_memory_budget());
-  tracker.set_bytes(BudgetTracker::Component::kPlanCache, 0);
+  tracker.set_bytes(BudgetTracker::Component::kSegmentCache, 0);
   EXPECT_FALSE(tracker.over_memory_budget());
 }
 
