@@ -3,12 +3,19 @@
 // regression pinning `auto` to the full-MC plan choice on the four paper
 // workflows, distribution agreement (KS) between the analytic screen and
 // the sampled evaluator, and bit-identical QMC early stopping across
-// backends and worker counts.
+// backends and worker counts, plus golden fingerprints of the evaluator's
+// absolute outputs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
 #include <memory>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "core/scheduling.hpp"
@@ -284,6 +291,110 @@ TEST(EstimatorHierarchyTest, QmcResultIndependentOfBatchComposition) {
     EXPECT_EQ(solo[0].eval.mean_makespan, batched[i].eval.mean_makespan) << i;
     EXPECT_EQ(solo[0].eval.deadline_prob, batched[i].eval.deadline_prob) << i;
   }
+}
+
+/// Appends the exact bit pattern of `v` (C99 hex-float) to `out`.
+void put(std::ostringstream& out, double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%a ", v);
+  out << buf;
+}
+
+void put(std::ostringstream& out, const PlanEvaluation& e) {
+  put(out, e.mean_cost);
+  put(out, e.mean_makespan);
+  put(out, e.makespan_quantile);
+  put(out, e.deadline_prob);
+  out << e.feasible << ' ';
+}
+
+/// FNV-1a, 64-bit.
+std::uint64_t fnv1a(const std::string& s) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const unsigned char c : s) h = (h ^ c) * 0x100000001b3ULL;
+  return h;
+}
+
+/// One fingerprint: every output of a fixed 24-plan screened wave plus one
+/// bounded solve, serialized as hex floats and hashed.
+std::uint64_t fingerprint(const workflow::Workflow& wf, CostModel cost,
+                          EstimatorMode mode, vgpu::ComputeBackend& backend) {
+  util::Rng rng(31);
+  const auto wave = make_wave(wf, 24, rng);
+  const ProbDeadline req{0.9, medium_deadline(wf)};
+  TaskTimeEstimator estimator(ec2(), store());
+  EvalOptions opt;
+  // 400 = three full 128-lane tiles plus a partial one, so the Tier 1 stop
+  // rule is exercised at interior boundaries and at the cap.
+  opt.mc_iterations = 400;
+  opt.cost_model = cost;
+  opt.estimator = mode;
+
+  std::ostringstream out;
+  PlanEvaluator evaluator(wf, estimator, backend, opt);
+  for (const ScreenedEvaluation& s :
+       evaluator.evaluate_batch_screened(wave, req)) {
+    put(out, s.eval);
+    out << static_cast<int>(s.verdict) << ' ' << s.mc_iterations_used << ' '
+        << s.qmc_early_stop << '\n';
+  }
+
+  SchedulingOptions sopt;
+  sopt.search.max_states = 64;
+  SchedulingProblem problem(wf, estimator, backend, opt);
+  const SchedulingResult solved = problem.solve(req, sopt);
+  out << solved.found << ' ' << solved.stats.states_evaluated << ' '
+      << solved.stats.states_pruned << ' ';
+  put(out, solved.evaluation);
+  for (std::size_t t = 0; t < solved.plan.size(); ++t) {
+    out << solved.plan[t].vm_type << ':' << solved.plan[t].region << ':'
+        << solved.plan[t].group << ' ';
+  }
+  return fnv1a(out.str());
+}
+
+// Golden pin of absolute evaluator values across commits: the paper
+// workflows x both cost models x every estimator mode, on the serial and a
+// 3-worker vgpu backend (which must agree).  Regenerate only after an
+// intentional numerical change, with:
+//   DECO_REGEN_GOLDEN=1 ctest -R EvaluatorFingerprints
+TEST(EstimatorHierarchyTest, EvaluatorFingerprintsMatchGolden) {
+  std::ostringstream lines;
+  for (const auto& wf : paper_workflows()) {
+    for (const CostModel cost :
+         {CostModel::kProrated, CostModel::kBilledHours}) {
+      for (const EstimatorMode mode : {EstimatorMode::kMc,
+                                       EstimatorMode::kAnalytic,
+                                       EstimatorMode::kAuto}) {
+        vgpu::SerialBackend serial;
+        vgpu::VirtualGpuBackend vgpu3(3);
+        const std::uint64_t a = fingerprint(wf, cost, mode, serial);
+        const std::uint64_t b = fingerprint(wf, cost, mode, vgpu3);
+        EXPECT_EQ(a, b) << wf.name() << ' ' << to_string(mode);
+        char hex[32];
+        std::snprintf(hex, sizeof(hex), "%016llx",
+                      static_cast<unsigned long long>(a));
+        lines << wf.name() << ' '
+              << (cost == CostModel::kProrated ? "prorated" : "billed") << ' '
+              << to_string(mode) << ' ' << hex << '\n';
+      }
+    }
+  }
+  const std::string path =
+      std::string(DECO_TEST_DATA_DIR) + "/golden/eval_fingerprints.txt";
+  if (std::getenv("DECO_REGEN_GOLDEN") != nullptr) {
+    std::ofstream file(path);
+    file << lines.str();
+    ASSERT_TRUE(file.good()) << "cannot write " << path;
+    GTEST_SKIP() << "regenerated " << path;
+  }
+  std::ifstream file(path);
+  ASSERT_TRUE(file.good()) << "missing golden file " << path;
+  std::stringstream expected;
+  expected << file.rdbuf();
+  EXPECT_EQ(lines.str(), expected.str())
+      << "evaluator outputs drifted from " << path
+      << " — if intentional, regenerate with DECO_REGEN_GOLDEN=1";
 }
 
 }  // namespace
