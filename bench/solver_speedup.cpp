@@ -420,8 +420,8 @@ int main(int argc, char** argv) {
                     : 0.0);
   }
 
-  if (!write_json(rows, core::EvalOptions{}.screen_guard_z, wlog_wf,
-                  wlog_rows, wlog_iters, out)) {
+  if (!write_json(rows, core::kScreenGuardZ, wlog_wf, wlog_rows, wlog_iters,
+                  out)) {
     return 1;
   }
   std::printf("\nwrote %s\n", out.c_str());

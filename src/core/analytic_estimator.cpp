@@ -1,10 +1,12 @@
 #include "core/analytic_estimator.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 
 #include "core/evaluator.hpp"
+#include "sim/interference.hpp"
 #include "util/qmc.hpp"
 
 namespace deco::core {
@@ -41,28 +43,19 @@ void clark_max(double mu1, double var1, double mu2, double var2,
   out_var = std::max(m2 - m1 * m1, 0.0);
 }
 
+// 3-node Gauss-Hermite quadrature over the interference factor I ~ N(1, cv):
+// nodes at z = 0 and z = +-sqrt(3) with weights 2/3 and 1/6, truncated by
+// the same helper as the sampler's draws so the screen models the same
+// factor.
+const std::array<double, 3> kInterferenceNodes = {
+    sim::interference_factor(0.0), sim::interference_factor(-std::sqrt(3.0)),
+    sim::interference_factor(std::sqrt(3.0))};
+constexpr std::array<double, 3> kNodeWeights = {2.0 / 3.0, 1.0 / 6.0,
+                                                1.0 / 6.0};
+
 }  // namespace
 
-AnalyticEstimator::AnalyticEstimator(PlanEvaluator& owner) : owner_(&owner) {
-  // 3-node Gauss-Hermite quadrature over I ~ N(1, cv): nodes 1 and
-  // 1 +- sqrt(3) cv with weights 2/3 and 1/6.  Nodes are clamped exactly the
-  // way the MC kernel clamps its interference draws, so the screen models the
-  // same (truncated) factor the sampler uses.
-  const double cv = owner.options().interference_cv;
-  if (cv > 0) {
-    const double spread = std::sqrt(3.0) * cv;
-    const double lo = 1.0 - 3.0 * cv;
-    const double hi = 1.0 + 3.0 * cv;
-    i_nodes_ = {1.0, 1.0 - spread, 1.0 + spread};
-    for (double& node : i_nodes_) {
-      node = std::max(std::clamp(node, lo, hi), 0.1);
-    }
-    node_weights_ = {2.0 / 3.0, 1.0 / 6.0, 1.0 / 6.0};
-  } else {
-    i_nodes_ = {1.0, 1.0, 1.0};
-    node_weights_ = {1.0, 0.0, 0.0};
-  }
-}
+AnalyticEstimator::AnalyticEstimator(PlanEvaluator& owner) : owner_(&owner) {}
 
 const AnalyticEstimator::TaskMoments& AnalyticEstimator::moments(
     workflow::TaskId task, cloud::TypeId type) {
@@ -172,9 +165,8 @@ AnalyticScreen AnalyticEstimator::screen(const sim::Plan& plan,
   std::array<double, 3> node_mu{};
   std::array<double, 3> node_var{};
   std::array<double, 3> node_cost{};
-  for (std::size_t k = 0; k < i_nodes_.size(); ++k) {
-    if (node_weights_[k] == 0.0) continue;
-    const double s = 1.0 / i_nodes_[k];
+  for (std::size_t k = 0; k < kInterferenceNodes.size(); ++k) {
+    const double s = 1.0 / kInterferenceNodes[k];
     const double s2 = s * s;
     avail_mu_.assign(slots, 0.0);
     avail_var_.assign(slots, 0.0);
@@ -252,9 +244,8 @@ AnalyticScreen AnalyticEstimator::screen(const sim::Plan& plan,
   double mix_mu = 0;
   double mix_m2 = 0;
   double prob = 0;
-  for (std::size_t k = 0; k < i_nodes_.size(); ++k) {
-    const double w = node_weights_[k];
-    if (w == 0.0) continue;
+  for (std::size_t k = 0; k < kInterferenceNodes.size(); ++k) {
+    const double w = kNodeWeights[k];
     mix_mu += w * node_mu[k];
     mix_m2 += w * (node_var[k] + node_mu[k] * node_mu[k]);
     out.mean_cost += w * node_cost[k];

@@ -27,7 +27,6 @@
 // band escalates to Tier 1 sampling (see docs/performance.md).
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <unordered_map>
 #include <vector>
@@ -49,7 +48,8 @@ struct AnalyticScreen {
   double mean_cost = 0;          ///< expected cost, USD
   /// Feasibility margin in standard-normal z units: z(deadline_prob) minus
   /// z(required quantile).  Positive means the fit clears the requirement;
-  /// PlanEvaluator compares |z_margin| against screen_guard_z.
+  /// PlanEvaluator accepts at >= +kScreenGuardZ, rejects at <= -kScreenGuardZ
+  /// and escalates in between (under kAnalytic the band is empty).
   double z_margin = 0;
 };
 
@@ -82,11 +82,6 @@ class AnalyticEstimator {
 
   PlanEvaluator* owner_;
   std::unordered_map<std::uint64_t, TaskMoments> moment_cache_;
-
-  // Gauss-Hermite nodes for the interference factor I ~ N(1, cv), clamped
-  // exactly like the MC kernel clamps its draws; weights {2/3, 1/6, 1/6}.
-  std::array<double, 3> i_nodes_{};
-  std::array<double, 3> node_weights_{};
 
   // Per-call scratch, sized to the workflow / group-slot count and reused
   // across calls (capacity sticks, so steady state is allocation-free).

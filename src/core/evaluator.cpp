@@ -5,10 +5,42 @@
 
 #include "core/analytic_estimator.hpp"
 #include "obs/obs.hpp"
+#include "sim/interference.hpp"
 #include "util/alias_table.hpp"
 #include "util/stats.hpp"
 
 namespace deco::core {
+namespace {
+
+/// Lanes per kernel tile; also Tier 1's checkpoint spacing, so its first
+/// early-stop check comes after 128 worlds, below which the Wilson bound is
+/// too loose to trust.
+constexpr std::size_t kTileLanes = 128;
+
+/// z-score of the Wilson interval that must clear (or fail) the required
+/// quantile before Tier 1 stops early: two-sided 99%.
+constexpr double kQmcConfidenceZ = 2.576;
+
+/// Wilson score interval for a Bernoulli proportion — well-behaved at the
+/// p ~ 1 probabilities deadline queries live at, unlike the Wald interval.
+struct WilsonInterval {
+  double lower = 0;
+  double upper = 1;
+};
+
+WilsonInterval wilson_interval(std::size_t successes, std::size_t trials,
+                               double z) {
+  const double m = static_cast<double>(trials);
+  const double phat = static_cast<double>(successes) / m;
+  const double z2 = z * z;
+  const double denom = 1.0 + z2 / m;
+  const double center = phat + z2 / (2.0 * m);
+  const double half =
+      z * std::sqrt(phat * (1.0 - phat) / m + z2 / (4.0 * m * m));
+  return {(center - half) / denom, (center + half) / denom};
+}
+
+}  // namespace
 
 std::optional<EstimatorMode> parse_estimator_mode(std::string_view name) {
   if (name == "mc") return EstimatorMode::kMc;
@@ -223,8 +255,7 @@ PlanEvaluation PlanEvaluator::reduce(std::span<const double> makespans,
 
 PlanEvaluation PlanEvaluator::evaluate(const sim::Plan& plan,
                                        const ProbDeadline& req) {
-  const sim::Plan* one = &plan;
-  return evaluate_batch(std::span<const sim::Plan>(one, 1), req)[0];
+  return sample_worlds({&plan, 1}, req, false)[0].eval;
 }
 
 void PlanEvaluator::eval_tile_rows(
@@ -365,22 +396,47 @@ void PlanEvaluator::eval_tile_rows(
 
 std::vector<PlanEvaluation> PlanEvaluator::evaluate_batch(
     std::span<const sim::Plan> plans, const ProbDeadline& req) {
-  DECO_OBS_SPAN_TIMED("eval", "evaluate_batch", "eval.batch_ms");
+  std::vector<PlanEvaluation> results;
+  results.reserve(plans.size());
+  for (const ScreenedEvaluation& s : sample_worlds(plans, req, false)) {
+    results.push_back(s.eval);
+  }
+  return results;
+}
+
+std::vector<ScreenedEvaluation> PlanEvaluator::sample_worlds(
+    std::span<const sim::Plan> plans, const ProbDeadline& req, bool qmc) {
+  DECO_OBS_SPAN_TIMED("eval", qmc ? "qmc_batch" : "evaluate_batch",
+                      "eval.batch_ms");
   const std::size_t n = wf_->task_count();
-  const std::size_t iters = options_.mc_iterations;
-  std::vector<PlanEvaluation> results(plans.size());
+  const std::size_t cap = options_.mc_iterations;
+  // Tier 2 always reports its fixed iteration count; Tier 1 reports the
+  // worlds it actually drew.
+  ScreenedEvaluation blank;
+  blank.mc_iterations_used = qmc ? 0 : cap;
+  std::vector<ScreenedEvaluation> results(plans.size(), blank);
   if (plans.empty()) return results;
   DECO_OBS_COUNTER_ADD("eval.plans", plans.size());
-  DECO_OBS_COUNTER_ADD("eval.task_samples", plans.size() * iters * n);
   if (n == 0) {
     for (auto& r : results) {
-      r.feasible = true;
-      r.deadline_prob = 1;
+      r.eval.feasible = true;
+      r.eval.deadline_prob = 1;
     }
     return results;
   }
   // A cyclic workflow has no topological order and no finite makespan.
   if (topo_.size() != n) return results;
+
+  // The shared low-discrepancy point set: dimension 0 drives the correlated
+  // interference factor, dimension p + 1 the task at topological position p.
+  // Built once per workflow size and shared by every plan in every batch, so
+  // a plan's QMC score — and its early-stop iteration count — is a pure
+  // function of (evaluator seed, plan): identical across backends, worker
+  // counts and batch composition.
+  if (qmc && qmc_points_.dimensions() != n + 1) {
+    qmc_points_ =
+        util::KroneckerSequence(n + 1, options_.seed ^ 0xC2B2AE3D27D4EB4FULL);
+  }
 
   util::BudgetTracker* const budget = budget_;
   enforce_memory_budget();
@@ -398,15 +454,17 @@ std::vector<PlanEvaluation> PlanEvaluator::evaluate_batch(
     }
   }
 
-  // Output arrays (flat "global memory"): per block, `iters` makespans and
-  // costs written by disjoint slices.
-  std::vector<double> all_makespans(plans.size() * iters);
-  std::vector<double> all_costs(plans.size() * iters);
+  // Output arrays (flat "global memory"): per block, up to `cap` makespans
+  // and costs written by disjoint slices, plus the worlds actually drawn.
+  std::vector<double> all_makespans(plans.size() * cap);
+  std::vector<double> all_costs(plans.size() * cap);
+  std::vector<std::size_t> used(plans.size(), 0);
+  std::vector<std::uint8_t> early(plans.size(), 0);
 
   vgpu::LaunchConfig config;
   config.blocks = plans.size();
-  config.lanes_per_block = iters;
-  config.shared_doubles = 2 * iters;
+  config.lanes_per_block = cap;
+  config.shared_doubles = 0;  // lanes write their block's global slice
   config.seed = options_.seed;
   config.cancel = budget != nullptr ? budget->launch_cancel() : nullptr;
   // Seed each block by its plan so a plan's score does not depend on which
@@ -417,98 +475,119 @@ std::vector<PlanEvaluation> PlanEvaluator::evaluate_batch(
     config.block_seeds.push_back(plan_hash(p) ^ options_.seed);
   }
 
-  const CostModel cost_model = options_.cost_model;
-  const double interference_cv = options_.interference_cv;
+  const bool billed = options_.cost_model == CostModel::kBilledHours;
+  const double required =
+      std::min(req.quantile + options_.feasibility_margin, 1.0);
+  const double derated =
+      req.deadline_s / std::max(options_.quantile_safety, 1.0);
+  const util::KroneckerSequence& points = qmc_points_;
   {
-  DECO_OBS_SPAN_TIMED("eval", "kernel", "eval.kernel_ms");
-  backend_->launch(config, [&](vgpu::BlockContext& ctx) {
-    const DevicePlan& dev = staged[ctx.block_index()];
-    auto shared = ctx.shared();
-    const bool billed = cost_model == CostModel::kBilledHours;
+    DECO_OBS_SPAN_TIMED("eval", "kernel", "eval.kernel_ms");
+    backend_->launch(config, [&](vgpu::BlockContext& ctx) {
+      const std::size_t block = ctx.block_index();
+      const DevicePlan& dev = staged[block];
+      // SIMT-style execution: lanes are processed in tiles, and within a
+      // tile the kernel walks *tasks* in topological position order,
+      // applying each step to every lane of the tile (one row at a time).
+      // Per-task constants (bin window, CPU time, price, group) are
+      // loop-invariant over a row, rows are contiguous, and the only
+      // data-dependent branch left per sample is the alias pick, which
+      // compiles to a select.  Each world is pre-generated into the
+      // uniforms matrix in the order a lane-major kernel would consume it
+      // (interference factor first, then one uniform per task in
+      // topological order), so results are bit-identical regardless of
+      // tiling, backend, or batch composition.
+      const std::size_t tile = std::min(kTileLanes, cap);
+      // Block scratch: uniforms/finish are (n x tile) matrices in row-major
+      // task order; everything else is one row.  All borrowed from the
+      // context's reusable arena — no heap traffic in steady state.
+      auto uniforms = ctx.scratch_doubles(n * tile);
+      auto finish = ctx.scratch_doubles(n * tile);
+      auto inv_inter = ctx.scratch_doubles(tile);
+      auto start = ctx.scratch_doubles(tile);
+      auto zero_row = ctx.scratch_doubles(tile);
+      auto duration = ctx.scratch_doubles(tile);
+      auto makespan_acc = ctx.scratch_doubles(tile);
+      auto cost_acc = ctx.scratch_doubles(tile);
+      auto group_avail = ctx.scratch_doubles(dev.group_slots * tile);
+      auto group_time = ctx.scratch_doubles(dev.group_slots * tile);
+      // Root tasks alias this row as their start times; it is never written.
+      std::fill(zero_row.begin(), zero_row.end(), 0.0);
 
-    // SIMT-style execution: lanes are processed in tiles of kTileLanes, and
-    // within a tile the kernel walks *tasks* in topological position order,
-    // applying each step to every lane of the tile (one row at a time).
-    // Per-task constants (bin window, CPU time, price, group) are
-    // loop-invariant over a row, rows are contiguous, and the only
-    // data-dependent branch left per sample is the alias pick, which
-    // compiles to a select.  Each lane still consumes its own RNG stream in
-    // the same order as a lane-major kernel would (interference factor
-    // first, then one uniform per task in topological order), pre-generated
-    // into the uniforms matrix, so results are bit-identical regardless of
-    // tiling, backend, or batch composition.
-    constexpr std::size_t kTileLanes = 128;
-    const std::size_t tile = std::min(kTileLanes, iters);
-    // Block scratch: uniforms/finish are (n x tile) matrices in row-major
-    // task order; everything else is one row.  All borrowed from the
-    // context's reusable arena — no heap traffic in steady state.
-    auto uniforms = ctx.scratch_doubles(n * tile);
-    auto finish = ctx.scratch_doubles(n * tile);
-    auto inv_inter = ctx.scratch_doubles(tile);
-    auto start = ctx.scratch_doubles(tile);
-    auto zero_row = ctx.scratch_doubles(tile);
-    auto duration = ctx.scratch_doubles(tile);
-    auto makespan_acc = ctx.scratch_doubles(tile);
-    auto cost_acc = ctx.scratch_doubles(tile);
-    auto group_avail = ctx.scratch_doubles(dev.group_slots * tile);
-    auto group_time = ctx.scratch_doubles(dev.group_slots * tile);
-    // Root tasks alias this row as their start times; it is never written.
-    std::fill(zero_row.begin(), zero_row.end(), 0.0);
-
-    for (std::size_t tile_base = 0; tile_base < iters; tile_base += tile) {
-      // Cooperative checkpoint per tile: a fired budget aborts the block via
-      // the pool's lowest-block rethrow; a silent budget costs one atomic
-      // load + clock read per 128 lanes and changes nothing else.
-      if (budget != nullptr) budget->checkpoint();
-      const std::size_t lanes = std::min(tile, iters - tile_base);
-      // Generation pass (lane-major, RNG state stays in registers),
-      // dispatched as one lane batch: one correlated interference factor per
-      // possible world — congestion persists across a run, scaling every
-      // dynamic component together — then the lane's per-task uniforms,
-      // written down its matrix column.
-      ctx.run_lanes(tile_base, tile_base + lanes,
-                    [&](std::size_t lane_begin, std::size_t lane_end) {
-        for (std::size_t lane = lane_begin; lane < lane_end; ++lane) {
-          const std::size_t j = lane - tile_base;
-          util::Rng rng(ctx.lane_seed(lane));
-          double interference = 1.0;
-          if (interference_cv > 0) {
-            interference =
-                std::clamp(util::Normal{1.0, interference_cv}.sample(rng),
-                           1.0 - 3 * interference_cv,
-                           1.0 + 3 * interference_cv);
-            interference = std::max(interference, 0.1);
+      double* out_mk = all_makespans.data() + block * cap;
+      double* out_cost = all_costs.data() + block * cap;
+      std::size_t sampled = 0;
+      std::size_t within = 0;
+      bool stopped = false;
+      for (std::size_t base = 0; base < cap && !stopped; base += tile) {
+        // Cooperative checkpoint per tile: a fired budget aborts the block
+        // via the pool's lowest-block rethrow; a silent budget costs one
+        // atomic load + clock read per tile and changes nothing else.
+        if (budget != nullptr) budget->checkpoint();
+        const std::size_t lanes = std::min(tile, cap - base);
+        // Generation pass (lane-major), dispatched as one lane batch: one
+        // correlated interference factor per possible world — congestion
+        // persists across a run, scaling every dynamic component together —
+        // then the world's per-task uniforms, written down its matrix
+        // column.  Tier 2 draws them from the lane's RNG stream; Tier 1
+        // reads world `lane` off the Kronecker sequence (inverse-CDF
+        // transport for the interference factor).
+        ctx.run_lanes(base, base + lanes,
+                      [&](std::size_t lane_begin, std::size_t lane_end) {
+          for (std::size_t lane = lane_begin; lane < lane_end; ++lane) {
+            const std::size_t j = lane - base;
+            double* column = uniforms.data() + j;
+            double z;
+            if (qmc) {
+              z = util::normal_quantile(points.point(lane, 0));
+              for (std::size_t p = 0; p < n; ++p) {
+                column[p * tile] = points.point(lane, p + 1);
+              }
+            } else {
+              util::Rng rng(ctx.lane_seed(lane));
+              z = util::Normal{}.sample(rng);
+              for (std::size_t p = 0; p < n; ++p) {
+                column[p * tile] = rng.uniform();
+              }
+            }
+            inv_inter[j] = 1.0 / sim::interference_factor(z);
+            makespan_acc[j] = 0;
+            cost_acc[j] = 0;
           }
-          inv_inter[j] = 1.0 / interference;
-          makespan_acc[j] = 0;
-          cost_acc[j] = 0;
-          double* column = uniforms.data() + j;
-          for (std::size_t p = 0; p < n; ++p) column[p * tile] = rng.uniform();
+        });
+        eval_tile_rows(dev, billed, tile, lanes, uniforms, finish, inv_inter,
+                       start, zero_row, duration, makespan_acc, cost_acc,
+                       group_avail, group_time);
+        std::copy_n(makespan_acc.begin(), lanes, out_mk + base);
+        std::copy_n(cost_acc.begin(), lanes, out_cost + base);
+        sampled += lanes;
+        if (!qmc || sampled == cap) continue;
+        // Sequential confidence bound: stop as soon as the Wilson interval
+        // on P(makespan <= deadline) clears (or fails) the requirement.  The
+        // check runs at fixed tile boundaries — the first after a full tile,
+        // where the bound becomes trustworthy — over deterministic per-lane
+        // values, so the stopping point is itself deterministic.
+        for (std::size_t j = 0; j < lanes; ++j) {
+          if (makespan_acc[j] <= derated) ++within;
         }
-      });
-      eval_tile_rows(dev, billed, tile, lanes, uniforms, finish, inv_inter,
-                     start, zero_row, duration, makespan_acc, cost_acc,
-                     group_avail, group_time);
-      for (std::size_t j = 0; j < lanes; ++j) {
-        shared[tile_base + j] = makespan_acc[j];
-        shared[iters + tile_base + j] = cost_acc[j];
+        const auto ci = wilson_interval(within, sampled, kQmcConfidenceZ);
+        stopped = ci.lower >= required || ci.upper < required;
       }
-    }
-    // Block reduction: copy lane results to this block's global-memory slice.
-    const std::size_t base = ctx.block_index() * iters;
-    std::copy(shared.begin(), shared.begin() + static_cast<std::ptrdiff_t>(iters),
-              all_makespans.begin() + static_cast<std::ptrdiff_t>(base));
-    std::copy(shared.begin() + static_cast<std::ptrdiff_t>(iters),
-              shared.begin() + static_cast<std::ptrdiff_t>(2 * iters),
-              all_costs.begin() + static_cast<std::ptrdiff_t>(base));
-  });
+      used[block] = sampled;
+      early[block] = stopped ? 1 : 0;
+    });
   }
 
+  std::size_t total_sampled = 0;
   for (std::size_t i = 0; i < plans.size(); ++i) {
-    results[i] = reduce(
-        std::span<const double>(all_makespans).subspan(i * iters, iters),
-        std::span<const double>(all_costs).subspan(i * iters, iters), req);
+    results[i].eval = reduce(
+        std::span<const double>(all_makespans).subspan(i * cap, used[i]),
+        std::span<const double>(all_costs).subspan(i * cap, used[i]), req);
+    results[i].mc_iterations_used = used[i];
+    results[i].qmc_early_stop = early[i] != 0;
+    total_sampled += used[i];
   }
+  DECO_OBS_COUNTER_ADD("eval.task_samples", total_sampled * n);
   return results;
 }
 
@@ -538,47 +617,23 @@ void PlanEvaluator::record_screen_stats(const ScreenStats& delta) {
 
 std::vector<ScreenedEvaluation> PlanEvaluator::evaluate_batch_screened(
     std::span<const sim::Plan> plans, const ProbDeadline& req) {
-  std::vector<ScreenedEvaluation> results(plans.size());
-  if (plans.empty()) return results;
-
-  // Tier 2 only: delegate wholesale — same kernel, same draws, same reduce,
-  // bit-identical to the pre-hierarchy evaluator.
+  // Tier 2 only: the fixed-iteration kernel, bit-identical to the
+  // pre-hierarchy evaluator.
   if (options_.estimator == EstimatorMode::kMc) {
-    const auto evals = evaluate_batch(plans, req);
-    for (std::size_t i = 0; i < plans.size(); ++i) {
-      results[i].eval = evals[i];
-      results[i].verdict = ScreenVerdict::kNone;
-      results[i].mc_iterations_used = options_.mc_iterations;
-    }
-    return results;
+    return sample_worlds(plans, req, false);
   }
 
+  std::vector<ScreenedEvaluation> results(plans.size());
+  if (plans.empty()) return results;
   if (!analytic_) analytic_ = std::make_unique<AnalyticEstimator>(*this);
   ScreenStats delta;
 
-  if (options_.estimator == EstimatorMode::kAnalytic) {
-    // Tier 0 only: every plan answered in closed form; feasibility is the
-    // sign of the z margin (no guard band — there is no tier to escalate to).
-    for (std::size_t i = 0; i < plans.size(); ++i) {
-      const AnalyticScreen s = analytic_->screen(plans[i], req);
-      results[i].eval.mean_cost = s.mean_cost;
-      results[i].eval.mean_makespan = s.mean_makespan;
-      results[i].eval.makespan_quantile = s.makespan_quantile;
-      results[i].eval.deadline_prob = s.deadline_prob;
-      results[i].eval.feasible = s.z_margin >= 0;
-      results[i].verdict = results[i].eval.feasible ? ScreenVerdict::kAccept
-                                                    : ScreenVerdict::kReject;
-      ++delta.screened;
-      ++(results[i].eval.feasible ? delta.accepted : delta.rejected);
-    }
-    record_screen_stats(delta);
-    return results;
-  }
-
-  // kAuto: screen everything, escalate only the guard band.  Accepted and
+  // Screen everything and escalate only the guard band.  Accepted and
   // rejected plans cost zero sampled worlds; their analytic cost/makespan
-  // feed the search ordering directly.
-  const double guard = options_.screen_guard_z;
+  // feed the search ordering directly.  kAnalytic has no tier to escalate
+  // to, so its band is empty and the sign of the z margin decides.
+  const double guard =
+      options_.estimator == EstimatorMode::kAuto ? kScreenGuardZ : 0.0;
   std::vector<std::size_t> escalated;
   for (std::size_t i = 0; i < plans.size(); ++i) {
     const AnalyticScreen s = analytic_->screen(plans[i], req);
@@ -605,7 +660,7 @@ std::vector<ScreenedEvaluation> PlanEvaluator::evaluate_batch_screened(
     std::vector<sim::Plan> subset;
     subset.reserve(escalated.size());
     for (const std::size_t i : escalated) subset.push_back(plans[i]);
-    const auto sampled = evaluate_batch_adaptive(subset, req);
+    const auto sampled = sample_worlds(subset, req, true);
     for (std::size_t k = 0; k < escalated.size(); ++k) {
       const std::size_t i = escalated[k];
       results[i].eval = sampled[k].eval;
@@ -618,186 +673,6 @@ std::vector<ScreenedEvaluation> PlanEvaluator::evaluate_batch_screened(
     }
   }
   record_screen_stats(delta);
-  return results;
-}
-
-namespace {
-
-/// Wilson score interval for a Bernoulli proportion — well-behaved at the
-/// p ~ 1 probabilities deadline queries live at, unlike the Wald interval.
-struct WilsonInterval {
-  double lower = 0;
-  double upper = 1;
-};
-
-WilsonInterval wilson_interval(std::size_t successes, std::size_t trials,
-                               double z) {
-  const double m = static_cast<double>(trials);
-  const double phat = static_cast<double>(successes) / m;
-  const double z2 = z * z;
-  const double denom = 1.0 + z2 / m;
-  const double center = phat + z2 / (2.0 * m);
-  const double half =
-      z * std::sqrt(phat * (1.0 - phat) / m + z2 / (4.0 * m * m));
-  return {(center - half) / denom, (center + half) / denom};
-}
-
-}  // namespace
-
-std::vector<ScreenedEvaluation> PlanEvaluator::evaluate_batch_adaptive(
-    std::span<const sim::Plan> plans, const ProbDeadline& req) {
-  DECO_OBS_SPAN_TIMED("eval", "qmc_batch", "eval.batch_ms");
-  const std::size_t n = wf_->task_count();
-  const std::size_t cap = options_.mc_iterations;
-  std::vector<ScreenedEvaluation> results(plans.size());
-  for (auto& r : results) r.verdict = ScreenVerdict::kEscalate;
-  if (plans.empty() || cap == 0) return results;
-  DECO_OBS_COUNTER_ADD("eval.plans", plans.size());
-  if (n == 0) {
-    for (auto& r : results) {
-      r.eval.feasible = true;
-      r.eval.deadline_prob = 1;
-    }
-    return results;
-  }
-  if (topo_.size() != n) return results;  // cyclic: no finite makespan
-
-  // The shared low-discrepancy point set: dimension 0 drives the correlated
-  // interference factor, dimension p + 1 the task at topological position p.
-  // Built once per workflow size and shared by every plan in every batch, so
-  // a plan's QMC score — and its early-stop iteration count — is a pure
-  // function of (evaluator seed, plan): identical across backends, worker
-  // counts and batch composition.
-  if (qmc_points_.dimensions() != n + 1) {
-    qmc_points_ =
-        util::KroneckerSequence(n + 1, options_.seed ^ 0xC2B2AE3D27D4EB4FULL);
-  }
-
-  util::BudgetTracker* const budget = budget_;
-  enforce_memory_budget();
-
-  std::vector<DevicePlan> staged;
-  staged.reserve(plans.size());
-  {
-    DECO_OBS_SPAN_TIMED("eval", "stage", "eval.stage_ms");
-    for (const sim::Plan& p : plans) {
-      if (budget != nullptr) budget->checkpoint();
-      staged.push_back(stage(p));
-    }
-  }
-
-  std::vector<double> all_makespans(plans.size() * cap);
-  std::vector<double> all_costs(plans.size() * cap);
-  std::vector<std::size_t> used(plans.size(), 0);
-  std::vector<std::uint8_t> early(plans.size(), 0);
-
-  vgpu::LaunchConfig config;
-  config.blocks = plans.size();
-  config.lanes_per_block = cap;
-  config.shared_doubles = 0;  // lanes write their disjoint global slice
-  config.seed = options_.seed;
-  config.cancel = budget != nullptr ? budget->launch_cancel() : nullptr;
-  config.block_seeds.reserve(plans.size());
-  const PlanKeyHash plan_hash;
-  for (const sim::Plan& p : plans) {
-    config.block_seeds.push_back(plan_hash(p) ^ options_.seed);
-  }
-
-  const CostModel cost_model = options_.cost_model;
-  const double interference_cv = options_.interference_cv;
-  const double required =
-      std::min(req.quantile + options_.feasibility_margin, 1.0);
-  const double derated =
-      req.deadline_s / std::max(options_.quantile_safety, 1.0);
-  const double conf_z = options_.qmc_confidence_z;
-  const std::size_t min_iters = std::max<std::size_t>(options_.qmc_min_iterations, 1);
-  const util::KroneckerSequence& points = qmc_points_;
-  {
-    DECO_OBS_SPAN_TIMED("eval", "qmc_kernel", "eval.kernel_ms");
-    backend_->launch(config, [&](vgpu::BlockContext& ctx) {
-      const std::size_t block = ctx.block_index();
-      const DevicePlan& dev = staged[block];
-      const bool billed = cost_model == CostModel::kBilledHours;
-      const std::size_t tile =
-          std::min(std::max<std::size_t>(options_.qmc_batch, 1), cap);
-      auto uniforms = ctx.scratch_doubles(n * tile);
-      auto finish = ctx.scratch_doubles(n * tile);
-      auto inv_inter = ctx.scratch_doubles(tile);
-      auto start = ctx.scratch_doubles(tile);
-      auto zero_row = ctx.scratch_doubles(tile);
-      auto duration = ctx.scratch_doubles(tile);
-      auto makespan_acc = ctx.scratch_doubles(tile);
-      auto cost_acc = ctx.scratch_doubles(tile);
-      auto group_avail = ctx.scratch_doubles(dev.group_slots * tile);
-      auto group_time = ctx.scratch_doubles(dev.group_slots * tile);
-      std::fill(zero_row.begin(), zero_row.end(), 0.0);
-
-      double* out_mk = all_makespans.data() + block * cap;
-      double* out_cost = all_costs.data() + block * cap;
-      std::size_t sampled = 0;
-      std::size_t within = 0;
-      bool stopped = false;
-      for (std::size_t base = 0; base < cap && !stopped; base += tile) {
-        if (budget != nullptr) budget->checkpoint();
-        const std::size_t lanes = std::min(tile, cap - base);
-        // Generation pass: low-discrepancy worlds instead of RNG streams.
-        // World j's coordinates come straight off the Kronecker sequence —
-        // monotone inverse-CDF transport for the interference factor, and
-        // the uniform each alias draw consumes for the tasks.
-        ctx.run_lanes(base, base + lanes,
-                      [&](std::size_t lane_begin, std::size_t lane_end) {
-          for (std::size_t lane = lane_begin; lane < lane_end; ++lane) {
-            const std::size_t j = lane - base;
-            double interference = 1.0;
-            if (interference_cv > 0) {
-              interference = std::clamp(
-                  1.0 + interference_cv *
-                            util::normal_quantile(points.point(lane, 0)),
-                  1.0 - 3 * interference_cv, 1.0 + 3 * interference_cv);
-              interference = std::max(interference, 0.1);
-            }
-            inv_inter[j] = 1.0 / interference;
-            makespan_acc[j] = 0;
-            cost_acc[j] = 0;
-            double* column = uniforms.data() + j;
-            for (std::size_t p = 0; p < n; ++p) {
-              column[p * tile] = points.point(lane, p + 1);
-            }
-          }
-        });
-        eval_tile_rows(dev, billed, tile, lanes, uniforms, finish, inv_inter,
-                       start, zero_row, duration, makespan_acc, cost_acc,
-                       group_avail, group_time);
-        for (std::size_t j = 0; j < lanes; ++j) {
-          out_mk[base + j] = makespan_acc[j];
-          out_cost[base + j] = cost_acc[j];
-          if (makespan_acc[j] <= derated) ++within;
-        }
-        sampled += lanes;
-        // Sequential confidence bound: stop as soon as the Wilson interval
-        // on P(makespan <= deadline) clears (or fails) the requirement.
-        // The check runs at fixed chunk boundaries over deterministic
-        // per-lane values, so the stopping point is itself deterministic.
-        if (sampled >= min_iters && sampled < cap) {
-          const auto ci = wilson_interval(within, sampled, conf_z);
-          if (ci.lower >= required || ci.upper < required) stopped = true;
-        }
-      }
-      used[block] = sampled;
-      early[block] = stopped ? 1 : 0;
-    });
-  }
-
-  std::size_t total_sampled = 0;
-  for (std::size_t i = 0; i < plans.size(); ++i) {
-    results[i].eval = reduce(
-        std::span<const double>(all_makespans).subspan(i * cap, used[i]),
-        std::span<const double>(all_costs).subspan(i * cap, used[i]), req);
-    results[i].mc_iterations_used = used[i];
-    results[i].qmc_early_stop = early[i] != 0;
-    total_sampled += used[i];
-  }
-  DECO_OBS_COUNTER_ADD("eval.task_samples", total_sampled * n);
   return results;
 }
 

@@ -6,7 +6,11 @@
 // takes the DAG longest path as the workflow makespan (the distributional
 // version of Eq. 3) and a monetary cost (Eq. 1).  Kernel decomposition per
 // Section 5.3: one block per evaluated plan, one lane per Monte Carlo
-// iteration, lane results reduced through block shared memory.  The histogram
+// iteration, lane results written to the block's slice and reduced per plan.
+// The two sampling tiers of the estimator hierarchy are this one kernel with
+// two world sources: Tier 2 draws each world from a per-lane RNG stream,
+// Tier 1 takes it from a shared Kronecker point set and may stop at a tile
+// boundary once a Wilson bound decides feasibility.  The histogram
 // data is laid out as flat SoA arrays (offsets + centers + alias tables) so
 // the kernel touches contiguous memory — the paper's "memory-optimized"
 // implementation.
@@ -65,6 +69,15 @@ enum class CostModel {
 ///               a sequential confidence bound, capped at mc_iterations).
 enum class EstimatorMode { kMc, kAnalytic, kAuto };
 
+/// Guard band of the analytic screen under kAuto, in standard-normal z
+/// units: the screen accepts only when its feasibility z-score clears the
+/// required quantile's z by this margin, rejects only when it falls short by
+/// the same margin, and escalates anything in between to sampling.  z-space
+/// (rather than probability-space) keeps the band meaningful near required
+/// ~ 0.98 where probabilities saturate.  kAnalytic has no tier to escalate
+/// to, so its band is empty.
+inline constexpr double kScreenGuardZ = 0.8;
+
 /// "mc" | "analytic" | "auto" (CLI --estimator values); nullopt on unknown.
 std::optional<EstimatorMode> parse_estimator_mode(std::string_view name);
 const char* to_string(EstimatorMode mode);
@@ -81,10 +94,6 @@ struct EvalOptions {
   std::size_t mc_iterations = 128;
   CostModel cost_model = CostModel::kProrated;
   std::uint64_t seed = 99;
-  /// Correlated interference (matches sim::ExecutorOptions::interference_cv):
-  /// each Monte Carlo world samples one factor that scales every task's
-  /// dynamic (I/O + network) time, because congestion persists across a run.
-  double interference_cv = 0.15;
   /// Guard band on the probabilistic requirement: with Max_iter Monte Carlo
   /// lanes the quantile estimate carries ~sqrt(p(1-p)/Max_iter) noise, so a
   /// plan is declared feasible only if P(makespan <= D) clears the required
@@ -107,22 +116,6 @@ struct EvalOptions {
   /// CLI path) stay bit-identical to the pre-hierarchy evaluator; the CLI
   /// defaults to kAuto.
   EstimatorMode estimator = EstimatorMode::kMc;
-  /// Guard band for the analytic screen, in standard-normal z units: the
-  /// screen accepts only when its feasibility z-score clears the required
-  /// quantile's z by this margin, rejects only when it falls short by the
-  /// same margin, and escalates anything in between to sampling.  z-space
-  /// (rather than probability-space) keeps the band meaningful near
-  /// required ~ 0.98 where probabilities saturate.
-  double screen_guard_z = 0.8;
-  /// Adaptive QMC: iterations run between sequential-bound checkpoints.
-  std::size_t qmc_batch = 128;
-  /// Adaptive QMC: iterations before the first early-stop check (the Wilson
-  /// bound is too loose to trust below this).
-  std::size_t qmc_min_iterations = 128;
-  /// Adaptive QMC: z-score of the Wilson confidence interval that must clear
-  /// (or fail) the required quantile before sampling stops early.  2.576 =
-  /// two-sided 99%.
-  double qmc_confidence_z = 2.576;
 };
 
 struct PlanEvaluation {
@@ -178,10 +171,11 @@ class PlanEvaluator {
                                              const ProbDeadline& req);
 
   /// Estimator-hierarchy entry point: routes each plan through the tiers
-  /// selected by options().estimator.  kMc delegates to evaluate_batch (bit-
-  /// identical results, verdict kNone); kAnalytic answers every plan from the
-  /// Tier 0 closed form; kAuto screens analytically and escalates only the
-  /// guard-band states to adaptive QMC sampling.
+  /// selected by options().estimator.  kMc runs the same kernel as
+  /// evaluate_batch (bit-identical results, verdict kNone); kAnalytic
+  /// answers every plan from the Tier 0 closed form; kAuto screens
+  /// analytically and escalates only the guard-band states to adaptive QMC
+  /// sampling.
   std::vector<ScreenedEvaluation> evaluate_batch_screened(
       std::span<const sim::Plan> plans, const ProbDeadline& req);
 
@@ -264,13 +258,16 @@ class PlanEvaluator {
                         std::span<const double> costs,
                         const ProbDeadline& req) const;
 
-  /// Tier 1: adaptive QMC over the escalated subset.  Samples Kronecker
-  /// worlds in qmc_batch chunks and stops a plan as soon as the Wilson
-  /// confidence interval on P(makespan <= deadline) clears (or fails) the
-  /// required quantile; hard-capped at mc_iterations.  Fully deterministic:
-  /// every draw is a pure function of (seed, dimension, index).
-  std::vector<ScreenedEvaluation> evaluate_batch_adaptive(
-      std::span<const sim::Plan> plans, const ProbDeadline& req);
+  /// The sampling kernel behind Tiers 1 and 2: stages the plans, launches
+  /// one block per plan over up to mc_iterations worlds in 128-lane tiles,
+  /// and reduces each block's lane results.  qmc = false is Tier 2: every
+  /// world comes from the lane's RNG stream and all mc_iterations run.
+  /// qmc = true is Tier 1: world j is point j of the shared Kronecker
+  /// sequence, and a plan stops at the first tile boundary where the Wilson
+  /// interval on P(makespan <= deadline) clears (or fails) the required
+  /// quantile.  Both are pure functions of (seed, plan).
+  std::vector<ScreenedEvaluation> sample_worlds(
+      std::span<const sim::Plan> plans, const ProbDeadline& req, bool qmc);
 
   /// Publishes screen-stat deltas to the obs counters and folds them into
   /// screen_stats_.
@@ -282,12 +279,9 @@ class PlanEvaluator {
   void enforce_memory_budget();
   static std::size_t segment_bytes(const TaskSegment& seg);
 
-  /// Task-major tile evaluation shared by the fixed-iteration MC kernel and
-  /// the adaptive QMC kernel: consumes the tile's pre-generated uniforms and
-  /// interference speedups and writes per-lane makespans/costs into the
-  /// accumulator rows.  Both kernels run the exact same per-lane arithmetic,
-  /// which keeps `--estimator mc` bit-identical to the pre-hierarchy
-  /// evaluator and lets the QMC path inherit every kernel optimization.
+  /// Evaluation pass of one tile of sample_worlds(): consumes the tile's
+  /// pre-generated uniforms and interference speedups (from either world
+  /// source) and writes per-lane makespans/costs into the accumulator rows.
   void eval_tile_rows(const DevicePlan& dev, bool billed, std::size_t tile,
                       std::size_t lanes, std::span<const double> uniforms,
                       std::span<double> finish,

@@ -9,6 +9,15 @@
 #include "workflow/analysis.hpp"
 
 namespace deco::core {
+namespace {
+
+/// Screened modes only: how many of the best screen-feasible states the
+/// Tier 2 full-MC verifier may try when the search winner fails verification
+/// (the screen's answer on frontier plans is an estimate; the runner-up
+/// often verifies where the winner does not).
+constexpr std::size_t kVerifyTopK = 8;
+
+}  // namespace
 
 SchedulingProblem::SchedulingProblem(const workflow::Workflow& wf,
                                      TaskTimeEstimator& estimator,
@@ -148,11 +157,10 @@ SchedulingResult SchedulingProblem::greedy_feasible(const ProbDeadline& req,
   const cloud::Catalog& catalog = estimator_->catalog();
   // Screened modes run the promotion loop on the cheap estimator tiers and
   // confirm every screen-feasible plan with the Tier 2 verifier before the
-  // loop trusts it (a failed confirmation just keeps promoting); kMc keeps
-  // the historical full-MC loop bit-identical.
+  // loop trusts it (a failed confirmation just keeps promoting); under kMc
+  // the score already is full MC.
   const bool screened = evaluator_.options().estimator != EstimatorMode::kMc;
   auto score = [&](const sim::Plan& p) {
-    if (!screened) return evaluator_.evaluate(p, req);
     const sim::Plan* one = &p;
     return evaluator_
         .evaluate_batch_screened(std::span<const sim::Plan>(one, 1), req)[0]
@@ -232,18 +240,17 @@ SchedulingResult SchedulingProblem::solve(const ProbDeadline& req,
 
   SearchCallbacks<sim::Plan> cb;
   cb.hash = plan_hash;
-  cb.children = [this, &catalog, &options](const sim::Plan& plan) {
+  cb.children = [this, &catalog](const sim::Plan& plan) {
     TransformOptions topt;
     topt.focus_tasks = critical_tasks(plan);
-    std::vector<TransformOp> ops{TransformOp::kPromote};
-    if (options.allow_merge) ops.push_back(TransformOp::kMerge);
-    return generate_children(plan, *wf_, catalog, ops, topt);
+    return generate_children(plan, *wf_, catalog, {TransformOp::kPromote},
+                             topt);
   };
   // In screened modes the search wave is scored by the estimator hierarchy:
   // analytic accepts/rejects cost zero sampled worlds, the guard band runs
   // adaptive QMC, and each analytic rejection is a pruned state (the math
   // discarded it before any sampling — the counter the `search.states_pruned`
-  // metric reports).  kMc keeps the historical full-MC wave bit-identical.
+  // metric reports).  Under kMc the wave is plain full MC.
   const bool screened = evaluator_.options().estimator != EstimatorMode::kMc;
   std::atomic<std::size_t> screen_rejections{0};
   // Screen-feasible states, kept so Tier 2 can fall back to the runner-ups
@@ -256,24 +263,16 @@ SchedulingResult SchedulingProblem::solve(const ProbDeadline& req,
   };
   std::mutex candidates_mu;
   std::vector<Candidate> candidates;
-  const std::size_t top_k = options.verify_top_k;
   cb.evaluate = [this, &req, screened, &screen_rejections, &candidates_mu,
-                 &candidates, top_k](std::span<const sim::Plan> plans) {
+                 &candidates](std::span<const sim::Plan> plans) {
     std::vector<Scored> scores(plans.size());
-    if (!screened) {
-      const auto evals = evaluator_.evaluate_batch(plans, req);
-      for (std::size_t i = 0; i < evals.size(); ++i) {
-        scores[i] = Scored{evals[i].feasible, evals[i].mean_cost};
-      }
-      return scores;
-    }
     const auto evals = evaluator_.evaluate_batch_screened(plans, req);
     std::size_t rejected = 0;
     for (std::size_t i = 0; i < evals.size(); ++i) {
       scores[i] = Scored{evals[i].eval.feasible, evals[i].eval.mean_cost};
       if (evals[i].verdict == ScreenVerdict::kReject) ++rejected;
     }
-    if (top_k > 0) {
+    if (screened) {
       std::lock_guard<std::mutex> lock(candidates_mu);
       for (std::size_t i = 0; i < evals.size(); ++i) {
         if (!evals[i].eval.feasible) continue;
@@ -282,14 +281,14 @@ SchedulingResult SchedulingProblem::solve(const ProbDeadline& req,
       }
       // Keep the list bounded: cheapest-first, hash tie-break so the order
       // (and therefore the fallback choice) is independent of wave timing.
-      if (candidates.size() > 4 * top_k) {
+      if (candidates.size() > 4 * kVerifyTopK) {
         std::sort(candidates.begin(), candidates.end(),
                   [](const Candidate& a, const Candidate& b) {
                     return a.objective != b.objective
                                ? a.objective < b.objective
                                : a.hash < b.hash;
                   });
-        candidates.resize(top_k);
+        candidates.resize(kVerifyTopK);
       }
     }
     if (rejected != 0) {
@@ -346,7 +345,7 @@ SchedulingResult SchedulingProblem::solve(const ProbDeadline& req,
       std::uint64_t last_hash = 0;
       bool have_last = false;
       for (const Candidate& c : candidates) {
-        if (tried >= top_k) break;
+        if (tried >= kVerifyTopK) break;
         if (have_last && c.hash == last_hash) continue;  // dedup re-visits
         last_hash = c.hash;
         have_last = true;

@@ -7,8 +7,9 @@
 // Search shape (Fig. 5): the initial state configures every task with the
 // cheapest type; children promote tasks to better types.  Children are
 // generated for tasks on the *current critical path* (by mean times), which
-// keeps the branching factor proportional to the path length; Merge children
-// exploit instance partial hours when the billed cost model is active.
+// keeps the branching factor proportional to the path length.  Instance
+// partial hours under the billed cost model are exploited after the search,
+// by consolidate().
 #pragma once
 
 #include "core/evaluator.hpp"
@@ -20,13 +21,7 @@ namespace deco::core {
 struct SchedulingOptions {
   SearchOptions search;
   bool use_astar = false;        ///< enabled(astar) in WLog
-  bool allow_merge = false;      ///< also generate Merge children
   cloud::RegionId region = 0;
-  /// Screened modes only: how many of the best screen-feasible states the
-  /// Tier 2 full-MC verifier may try when the search winner fails
-  /// verification (the screen's answer on frontier plans is an estimate;
-  /// the runner-up often verifies where the winner does not).
-  std::size_t verify_top_k = 8;
   SchedulingOptions() {
     search.max_states = 2048;
     search.batch_size = 32;

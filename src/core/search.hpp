@@ -63,7 +63,7 @@ struct SearchOptions {
   /// Children never have a better objective than their parent; enables
   /// bound pruning against the incumbent.
   bool monotone_objective = false;
-  /// Stop as soon as `early_stop_depth` consecutive expansion waves bring no
+  /// Stop as soon as this many consecutive expansion waves bring no
   /// incumbent improvement (0 = run the full budget).
   std::size_t stale_wave_limit = 0;
   /// Overlap child generation/hashing with batch evaluation on a background

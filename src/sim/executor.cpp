@@ -6,6 +6,7 @@
 
 #include "obs/obs.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/interference.hpp"
 
 namespace deco::sim {
 namespace {
@@ -80,14 +81,9 @@ ExecutionResult simulate_execution(const workflow::Workflow& wf,
 
   // Correlated interference: one factor for the whole run scales every I/O
   // and network rate (congestion persists across a workflow execution).
-  double interference = 1.0;
-  if (options.sample_dynamics && options.interference_cv > 0) {
-    const util::Normal weather{1.0, options.interference_cv};
-    interference = std::clamp(weather.sample(rng),
-                              1.0 - 3 * options.interference_cv,
-                              1.0 + 3 * options.interference_cv);
-    interference = std::max(interference, 0.1);
-  }
+  const double interference =
+      options.sample_dynamics ? interference_factor(util::Normal{}.sample(rng))
+                              : 1.0;
 
   // Draw a rate from a distribution (floored per cloud::sample_rate), or
   // take the mean when dynamics are off.

@@ -26,13 +26,6 @@ struct ExecutorOptions {
   double boot_seconds = 0;        ///< provisioning latency for new instances
   bool sample_dynamics = true;    ///< false = deterministic means (for tests)
   double rand_io_ops_per_task = 50;  ///< metadata-style random reads per task
-  /// Coefficient of variation of the *correlated* interference component:
-  /// one factor per run scales every I/O and network rate.  Cloud
-  /// interference is strongly time-correlated (Schad et al., the paper's
-  /// [33]) — a congested disk or network stays congested across a workflow
-  /// run, which is what makes whole-workflow execution times vary
-  /// significantly (Fig. 2) even though per-task noise averages out.
-  double interference_cv = 0.15;
   /// Failure injection (borrowed; may be nullptr).  A null or all-zero
   /// model consumes no RNG state and reproduces failure-free traces bit
   /// for bit.

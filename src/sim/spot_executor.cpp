@@ -5,6 +5,7 @@
 #include <functional>
 
 #include "sim/event_queue.hpp"
+#include "sim/interference.hpp"
 
 namespace deco::sim {
 namespace {
@@ -32,14 +33,9 @@ SpotExecutionResult simulate_spot_execution(
     waiting_parents[t] = wf.parents(t).size();
   }
 
-  double interference = 1.0;
-  if (options.sample_dynamics && options.interference_cv > 0) {
-    const util::Normal weather{1.0, options.interference_cv};
-    interference = std::clamp(weather.sample(rng),
-                              1.0 - 3 * options.interference_cv,
-                              1.0 + 3 * options.interference_cv);
-    interference = std::max(interference, 0.1);
-  }
+  const double interference =
+      options.sample_dynamics ? interference_factor(util::Normal{}.sample(rng))
+                              : 1.0;
   auto rate = [&](const util::Distribution& dist) {
     return options.sample_dynamics
                ? cloud::sample_rate(dist, rng) * interference

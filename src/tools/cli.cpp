@@ -14,6 +14,7 @@
 #include "util/budget.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
+#include "wlog/vm.hpp"
 #include "wms/pegasus.hpp"
 #include "workflow/dax.hpp"
 #include "workflow/generators.hpp"
@@ -458,16 +459,28 @@ int cmd_solve(const CliArgs& args, std::ostream& out) {
   std::ostringstream buffer;
   buffer << in.rdbuf();
 
+  core::DecoOptions engine_options;
+  engine_options.wlog_exec = args.get_or("wlog-exec", "vm");
+  if (!wlog::parse_exec_mode(engine_options.wlog_exec)) {
+    out << "error: unknown --wlog-exec '" << engine_options.wlog_exec
+        << "' (expected vm|interp)\n";
+    return kExitInputError;
+  }
+  const std::string segments = args.get_or("wlog-segments", "on");
+  if (segments != "on" && segments != "off") {
+    out << "error: unknown --wlog-segments '" << segments
+        << "' (expected on|off)\n";
+    return kExitInputError;
+  }
+  engine_options.wlog_segments = segments == "on";
+
   const CloudSetup cloud = load_cloud(args);
   const auto budget_spec = cli_budget(args);
   std::optional<util::BudgetTracker> tracker;
-  core::DecoOptions engine_options;
   if (budget_spec) {
     tracker.emplace(*budget_spec);
     engine_options.budget = &*tracker;
   }
-  engine_options.wlog_exec = args.get_or("wlog-exec", "vm");
-  engine_options.wlog_segments = args.get_or("wlog-segments", "on") != "off";
   core::Deco engine(cloud.catalog, cloud.store, engine_options);
   const auto result = engine.solve_program(buffer.str(), *wf);
   if (!result.ok) {

@@ -286,6 +286,41 @@ TEST(CliRunTest, SolveMissingProgramFails) {
             kExitInputError);
 }
 
+// Engine flags are validated like --estimator: an unknown value must not
+// silently fall back to the default engine.
+int solve_with_flag(const std::string& flag, const std::string& value,
+                    std::ostringstream& out) {
+  const std::string dax = temp_path("cli_solve_flag.dax");
+  std::ostringstream gen;
+  run_cli(parse({"generate", "--app", "pipeline", "--tasks", "2", "--out",
+                 dax}),
+          gen);
+  const std::string program = temp_path("cli_solve_flag.wlog");
+  std::ofstream(program) << "goal minimize Ct in totalcost(Ct).\n";
+  return run_cli(parse({"solve", "--dax", dax, "--program", program, flag,
+                        value}),
+                 out);
+}
+
+TEST(CliRunTest, SolveUnknownWlogExecIsInputError) {
+  std::ostringstream out;
+  EXPECT_EQ(solve_with_flag("--wlog-exec", "interpreter", out),
+            kExitInputError);
+  EXPECT_NE(out.str().find("error: unknown --wlog-exec 'interpreter' "
+                           "(expected vm|interp)"),
+            std::string::npos)
+      << out.str();
+}
+
+TEST(CliRunTest, SolveUnknownWlogSegmentsIsInputError) {
+  std::ostringstream out;
+  EXPECT_EQ(solve_with_flag("--wlog-segments", "nope", out), kExitInputError);
+  EXPECT_NE(out.str().find("error: unknown --wlog-segments 'nope' "
+                           "(expected on|off)"),
+            std::string::npos)
+      << out.str();
+}
+
 TEST(CliRunTest, InfoSummarizesWorkflow) {
   const std::string dax = temp_path("cli_info.dax");
   std::ostringstream gen;
