@@ -1,6 +1,7 @@
 #include "core/evaluator.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "core/analytic_estimator.hpp"
@@ -149,11 +150,9 @@ const PlanEvaluator::TaskSegment& PlanEvaluator::segment(
       (static_cast<std::uint64_t>(task) << 32) | static_cast<std::uint64_t>(type);
   if (const auto it = segment_cache_.find(key); it != segment_cache_.end()) {
     ++cache_stats_.segment_hits;
-    DECO_OBS_COUNTER_ADD("eval.cache.segment_hits", 1);
     return it->second;
   }
   ++cache_stats_.segment_misses;
-  DECO_OBS_COUNTER_ADD("eval.cache.segment_misses", 1);
   // Single estimator round-trip per (task, type): the histogram is fetched
   // once and flattened into an alias table here; every later plan touching
   // this placement reuses the segment.
@@ -184,6 +183,21 @@ const PlanEvaluator::TaskSegment& PlanEvaluator::segment(
   }
   segment_cache_bytes_ += segment_bytes(seg);
   return segment_cache_.emplace(key, std::move(seg)).first->second;
+}
+
+PlanEvaluator::CacheStatsPublisher::~CacheStatsPublisher() {
+  // Zero deltas are skipped so a batch without lookups leaves no counter.
+  const StagingCacheStats& now = self.cache_stats_;
+  StagingCacheStats& was = self.published_cache_stats_;
+  if (now.segment_hits != was.segment_hits) {
+    DECO_OBS_COUNTER_ADD("eval.cache.segment_hits",
+                         now.segment_hits - was.segment_hits);
+  }
+  if (now.segment_misses != was.segment_misses) {
+    DECO_OBS_COUNTER_ADD("eval.cache.segment_misses",
+                         now.segment_misses - was.segment_misses);
+  }
+  was = now;
 }
 
 PlanEvaluator::DevicePlan PlanEvaluator::stage(const sim::Plan& plan) {
@@ -278,17 +292,26 @@ void PlanEvaluator::eval_tile_rows(
     const double* u_row = uniforms.data() + p * tile;
     double* f_row = finish.data() + p * tile;
     // O(1) alias-table draw per lane: one uniform, one comparison, one
-    // contiguous column read (both candidate centers pre-resolved).
+    // contiguous column read (both candidate centers pre-resolved).  The
+    // draw has no data-dependent branch: the column index is a 32-bit
+    // conversion clamped with min (u ~ 1 after fp rounding), both centers
+    // are loaded, and the comparison becomes a bit mask that keeps one.  A
+    // ternary here compiles to a compare-and-jump whose outcome is random
+    // on every sample; the mask compiles to a set-on-condition.
     if (bins != 0) {
       const AliasColumn* cols = dev.columns.data() + lo;
+      const double scale = static_cast<double>(bins);
+      const auto last = static_cast<std::int32_t>(bins - 1);
       for (std::size_t j = 0; j < lanes; ++j) {
-        const double scaled = u_row[j] * static_cast<double>(bins);
-        std::size_t col = static_cast<std::size_t>(scaled);
-        if (col >= bins) col = bins - 1;  // u ~ 1 after fp rounding
+        const double scaled = u_row[j] * scale;
+        const std::int32_t col =
+            std::min(static_cast<std::int32_t>(scaled), last);
         const AliasColumn& c = cols[col];
-        const double center = (scaled - static_cast<double>(col)) < c.prob
-                                  ? c.stay_center
-                                  : c.alias_center;
+        const std::uint64_t stay = -static_cast<std::uint64_t>(
+            scaled - static_cast<double>(col) < c.prob);
+        const double center = std::bit_cast<double>(
+            (std::bit_cast<std::uint64_t>(c.stay_center) & stay) |
+            (std::bit_cast<std::uint64_t>(c.alias_center) & ~stay));
         duration[j] = cpu + center * inv_inter[j];
       }
     } else {
@@ -408,6 +431,7 @@ std::vector<ScreenedEvaluation> PlanEvaluator::sample_worlds(
     std::span<const sim::Plan> plans, const ProbDeadline& req, bool qmc) {
   DECO_OBS_SPAN_TIMED("eval", qmc ? "qmc_batch" : "evaluate_batch",
                       "eval.batch_ms");
+  const CacheStatsPublisher publish{*this};
   const std::size_t n = wf_->task_count();
   const std::size_t cap = options_.mc_iterations;
   // Tier 2 always reports its fixed iteration count; Tier 1 reports the
@@ -490,13 +514,14 @@ std::vector<ScreenedEvaluation> PlanEvaluator::sample_worlds(
       // tile the kernel walks *tasks* in topological position order,
       // applying each step to every lane of the tile (one row at a time).
       // Per-task constants (bin window, CPU time, price, group) are
-      // loop-invariant over a row, rows are contiguous, and the only
-      // data-dependent branch left per sample is the alias pick, which
-      // compiles to a select.  Each world is pre-generated into the
-      // uniforms matrix in the order a lane-major kernel would consume it
-      // (interference factor first, then one uniform per task in
-      // topological order), so results are bit-identical regardless of
-      // tiling, backend, or batch composition.
+      // loop-invariant over a row, rows are contiguous, and no per-sample
+      // step branches on data: the generation and accumulation rows
+      // vectorize, and the alias draw (a 24-byte-stride column read per
+      // lane) runs scalar without mispredictions.  Each world's
+      // values are those a lane-major kernel would draw (interference
+      // factor first, then one uniform per task in topological order), so
+      // results are bit-identical regardless of tiling, backend, or batch
+      // composition.
       const std::size_t tile = std::min(kTileLanes, cap);
       // Block scratch: uniforms/finish are (n x tile) matrices in row-major
       // task order; everything else is one row.  All borrowed from the
@@ -513,6 +538,9 @@ std::vector<ScreenedEvaluation> PlanEvaluator::sample_worlds(
       auto group_time = ctx.scratch_doubles(dev.group_slots * tile);
       // Root tasks alias this row as their start times; it is never written.
       std::fill(zero_row.begin(), zero_row.end(), 0.0);
+      // Tier 2's per-lane RNG streams, side by side so one row of uniforms
+      // is one vectorized step of every lane's stream.
+      util::RngLanes<kTileLanes> streams;
 
       double* out_mk = all_makespans.data() + block * cap;
       double* out_cost = all_costs.data() + block * cap;
@@ -525,36 +553,37 @@ std::vector<ScreenedEvaluation> PlanEvaluator::sample_worlds(
         // atomic load + clock read per tile and changes nothing else.
         if (budget != nullptr) budget->checkpoint();
         const std::size_t lanes = std::min(tile, cap - base);
-        // Generation pass (lane-major), dispatched as one lane batch: one
-        // correlated interference factor per possible world — congestion
-        // persists across a run, scaling every dynamic component together —
-        // then the world's per-task uniforms, written down its matrix
-        // column.  Tier 2 draws them from the lane's RNG stream; Tier 1
-        // reads world `lane` off the Kronecker sequence (inverse-CDF
-        // transport for the interference factor).
-        ctx.run_lanes(base, base + lanes,
-                      [&](std::size_t lane_begin, std::size_t lane_end) {
-          for (std::size_t lane = lane_begin; lane < lane_end; ++lane) {
-            const std::size_t j = lane - base;
-            double* column = uniforms.data() + j;
-            double z;
-            if (qmc) {
-              z = util::normal_quantile(points.point(lane, 0));
-              for (std::size_t p = 0; p < n; ++p) {
-                column[p * tile] = points.point(lane, p + 1);
-              }
-            } else {
-              util::Rng rng(ctx.lane_seed(lane));
-              z = util::Normal{}.sample(rng);
-              for (std::size_t p = 0; p < n; ++p) {
-                column[p * tile] = rng.uniform();
-              }
-            }
-            inv_inter[j] = 1.0 / sim::interference_factor(z);
-            makespan_acc[j] = 0;
-            cost_acc[j] = 0;
+        // Generation pass.  First one correlated interference factor per
+        // possible world — congestion persists across a run, scaling every
+        // dynamic component together.  Tier 2 seeds lane j's stream from
+        // lane_seed(base + j) and draws the factor from it; Tier 1 reads
+        // dimension 0 of Kronecker point base + j (inverse-CDF transport).
+        for (std::size_t j = 0; j < lanes; ++j) {
+          double z;
+          if (qmc) {
+            z = util::normal_quantile(points.point(base + j, 0));
+          } else {
+            util::Rng rng(ctx.lane_seed(base + j));
+            z = util::Normal{}.sample(rng);
+            streams.load(j, rng);
           }
-        });
+          inv_inter[j] = 1.0 / sim::interference_factor(z);
+        }
+        std::fill_n(makespan_acc.begin(), lanes, 0.0);
+        std::fill_n(cost_acc.begin(), lanes, 0.0);
+        // Then the per-task uniforms, one contiguous row per task across the
+        // tile's lanes: the next draw of every lane's stream, or dimension
+        // p + 1 of every lane's Kronecker point.
+        for (std::size_t p = 0; p < n; ++p) {
+          double* row = uniforms.data() + p * tile;
+          if (qmc) {
+            for (std::size_t j = 0; j < lanes; ++j) {
+              row[j] = points.point(base + j, p + 1);
+            }
+          } else {
+            streams.uniform_row(lanes, row);
+          }
+        }
         eval_tile_rows(dev, billed, tile, lanes, uniforms, finish, inv_inter,
                        start, zero_row, duration, makespan_acc, cost_acc,
                        group_avail, group_time);
@@ -622,6 +651,7 @@ std::vector<ScreenedEvaluation> PlanEvaluator::evaluate_batch_screened(
   if (options_.estimator == EstimatorMode::kMc) {
     return sample_worlds(plans, req, false);
   }
+  const CacheStatsPublisher publish{*this};  // screen lookups included
 
   std::vector<ScreenedEvaluation> results(plans.size());
   if (plans.empty()) return results;

@@ -23,7 +23,10 @@
 //     mostly-overlapping plans a search wave produces share their staging
 //     work and each plan image is assembled by copying cached columns;
 //   * lane scratch lives in the block context's reusable arena, not in
-//     per-lane heap allocations.
+//     per-lane heap allocations;
+//   * both passes over a tile walk task rows across lanes without
+//     data-dependent branches: the alias pick is a bit mask, and Tier 2
+//     steps every lane's RNG stream at once in a vectorized row loop.
 #pragma once
 
 #include <cstdint>
@@ -279,6 +282,15 @@ class PlanEvaluator {
   void enforce_memory_budget();
   static std::size_t segment_bytes(const TaskSegment& seg);
 
+  /// Adds the segment-cache hits and misses counted since the last publish
+  /// to the eval.cache.segment_* obs counters when it leaves scope.  Held by
+  /// each batch entry point, so the counters move once per batch (on every
+  /// exit path) instead of once per string-keyed, locked lookup.
+  struct CacheStatsPublisher {
+    PlanEvaluator& self;
+    ~CacheStatsPublisher();
+  };
+
   /// Evaluation pass of one tile of sample_worlds(): consumes the tile's
   /// pre-generated uniforms and interference speedups (from either world
   /// source) and writes per-lane makespans/costs into the accumulator rows.
@@ -321,6 +333,7 @@ class PlanEvaluator {
   // assembled per batch from these segments and not cached themselves.
   std::unordered_map<std::uint64_t, TaskSegment> segment_cache_;
   StagingCacheStats cache_stats_;
+  StagingCacheStats published_cache_stats_;  // cache_stats_ at last publish
   std::size_t segment_cache_bytes_ = 0;
   util::BudgetTracker* budget_ = nullptr;  // borrowed; null = unbudgeted
 

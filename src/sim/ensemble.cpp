@@ -43,8 +43,7 @@ EnsembleReport EnsembleRunner::run(
   // (usually the process-wide one; under nesting, the enclosing run's
   // shard).  Captured per-run registries merge into it in index order.
   obs::Registry& parent = obs::Registry::instance();
-  const bool capture =
-      options_.capture_metrics && obs::kCompiledIn && parent.enabled();
+  const bool capture = options_.capture_metrics && parent.enabled();
 
   EnsembleReport report;
   report.runs = n;

@@ -24,6 +24,7 @@
 // stopping bit-identical across serial and vgpu execution.
 #pragma once
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -46,11 +47,12 @@ class KroneckerSequence {
 
   std::size_t dimensions() const { return alpha_.size(); }
 
-  /// Coordinate `dim` of point `index` in [0, 1).
+  /// Coordinate `dim` of point `index` in [0, 1).  x is never negative
+  /// (shift >= 0, alpha > 0), so x - floor(x) is its exact fractional part.
   double point(std::size_t index, std::size_t dim) const {
     const double x =
         shift_[dim] + static_cast<double>(index + 1) * alpha_[dim];
-    return x - static_cast<double>(static_cast<std::uint64_t>(x));
+    return x - std::floor(x);
   }
 
  private:

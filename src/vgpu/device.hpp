@@ -10,9 +10,9 @@
 //   * a Block is a cooperative group of `lane_count` lanes with a private
 //     shared-memory scratch buffer;
 //   * blocks never communicate; lanes within a block reduce via shared();
-//   * lanes are dispatched in *batches* (run_lanes) so Monte Carlo inner
-//     loops are tight strided loops over contiguous per-lane arrays, not
-//     per-lane indirect calls;
+//   * a kernel walks its lanes itself, in tight loops over contiguous
+//     per-lane arrays (the evaluator steps every lane of a tile one task row
+//     at a time), not through per-lane indirect calls;
 //   * VirtualGpuBackend schedules blocks over a work-stealing dispatcher
 //     (participants play the role of streaming multiprocessors, claiming
 //     chunks of blocks and stealing from laggards); SerialBackend runs
@@ -98,30 +98,16 @@ class BlockContext {
     return {buf.data(), count};
   }
 
-  /// Lane-batched dispatch: runs fn(lane_begin, lane_end) over [begin, end).
-  /// fn walks the lane range itself — typically a tight strided loop over
-  /// contiguous per-lane arrays, pulling each lane's deterministic stream
-  /// seed from lane_seed() — so the Monte Carlo inner loop carries no
-  /// per-lane call overhead at all.  Statically dispatched (no
-  /// std::function).
-  template <typename Fn>
-  void run_lanes(std::size_t begin, std::size_t end, Fn&& fn) {
-    fn(begin, std::min(end, lane_count_));
-  }
-
-  /// Per-lane convenience over run_lanes: fn(lane, rng) with a deterministic
-  /// per-lane RNG stream derived from the block stream.  Lanes may be
-  /// executed in any order; they must only communicate through shared()
-  /// after the loop.
+  /// Per-lane convenience: fn(lane, rng) with a deterministic per-lane RNG
+  /// stream derived from the block stream.  Lanes may be executed in any
+  /// order; they must only communicate through shared() after the loop.
   template <typename Fn>
   void for_each_lane(Fn&& fn) {
-    run_lanes(0, lane_count_, [&](std::size_t begin, std::size_t end) {
-      util::Rng lane_rng;
-      for (std::size_t lane = begin; lane < end; ++lane) {
-        lane_rng.reseed(lane_seed(lane));
-        fn(lane, lane_rng);
-      }
-    });
+    util::Rng lane_rng;
+    for (std::size_t lane = 0; lane < lane_count_; ++lane) {
+      lane_rng.reseed(lane_seed(lane));
+      fn(lane, lane_rng);
+    }
   }
 
   /// Seed of lane `lane`'s RNG stream: the block base draw (computed once at
@@ -141,8 +127,7 @@ class BlockContext {
 };
 
 /// Kernel: executed once per block (per-block type erasure only; the
-/// per-lane hot loop inside a block goes through run_lanes and stays
-/// statically dispatched).
+/// per-lane hot loop inside a block stays statically dispatched).
 using Kernel = std::function<void(BlockContext&)>;
 
 struct LaunchConfig {

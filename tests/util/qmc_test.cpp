@@ -7,6 +7,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 namespace deco::util {
@@ -85,6 +87,28 @@ TEST(KroneckerSequenceTest, EquidistributionBeatsRandomSampling) {
       ks = std::max({ks, std::abs(ecdf_hi - pts[i]), std::abs(pts[i] - ecdf_lo)});
     }
     EXPECT_LT(ks, 0.01) << "dimension " << d;
+  }
+}
+
+TEST(KroneckerSequenceTest, FractionMatchesIntegerRoundTrip) {
+  // point() takes x - floor(x); it used to take x - double(uint64_t(x)).
+  // The two agree for every x >= 0.  Rebuild x from the public API and check
+  // the old form over many indices: alpha_d = frac(sqrt(p_d)) exactly as
+  // the constructor computes it, and shift_d is the point at index
+  // SIZE_MAX, where index + 1 wraps to 0.
+  constexpr std::size_t kDims = 8;
+  const std::size_t primes[kDims] = {2, 3, 5, 7, 11, 13, 17, 19};
+  const KroneckerSequence seq(kDims, 2024);
+  for (std::size_t d = 0; d < kDims; ++d) {
+    const double root = std::sqrt(static_cast<double>(primes[d]));
+    const double alpha = root - std::floor(root);
+    const double shift = seq.point(std::numeric_limits<std::size_t>::max(), d);
+    ASSERT_GE(shift, 0.0);
+    for (std::size_t j = 0; j < 200000; j += 7) {
+      const double x = shift + static_cast<double>(j + 1) * alpha;
+      const double old = x - static_cast<double>(static_cast<std::uint64_t>(x));
+      ASSERT_EQ(seq.point(j, d), old) << "dim " << d << ", index " << j;
+    }
   }
 }
 
