@@ -40,12 +40,10 @@ EnsemblePlanResult Deco::plan_ensemble(const workflow::Ensemble& ensemble,
 MigrationDecision Deco::optimize_migration(
     const std::vector<MigrationWorkflowState>& states,
     const SearchOptions& options) {
-  // All migration workflows share the estimator; keyed caches are per
-  // workflow, so use a fresh estimator per call (states may differ).
-  static thread_local std::unique_ptr<TaskTimeEstimator> estimator;
-  estimator =
-      std::make_unique<TaskTimeEstimator>(*catalog_, *store_, options_.estimator);
-  MigrationOptimizer optimizer(*catalog_, *estimator);
+  // All migration workflows share the estimator (its caches are keyed per
+  // workflow).
+  TaskTimeEstimator estimator(*catalog_, *store_, options_.estimator);
+  MigrationOptimizer optimizer(*catalog_, estimator);
   return optimizer.optimize(states, options);
 }
 

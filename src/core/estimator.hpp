@@ -14,8 +14,17 @@
 //   io    = (in+out bytes) / seq_io_rate + ops / iops    (random rates)
 //   net   = incoming edge bytes / pair bandwidth         (random rate)
 // discretized back into a histogram the evaluator and the WLog bridge share.
+//
+// The convolution is table-driven.  Each type's three store histograms are
+// resolved once per estimator and each task's incoming edge bytes once per
+// workflow; a build then computes every bin's I/O or network term once and
+// maps each uniform draw to its bin by counting CDF entries <= u, which is
+// Histogram::sample's upper_bound on a non-decreasing CDF.  Same RNG stream,
+// same draw order, same additions: the histograms are bit-identical to
+// per-draw sampling (docs/performance.md, "Task-time estimation").
 #pragma once
 
+#include <optional>
 #include <shared_mutex>
 #include <unordered_map>
 #include <vector>
@@ -41,17 +50,24 @@ struct EstimatorOptions {
 
 class TaskTimeEstimator {
  public:
+  /// Copies the store's histograms for every catalog type here; later
+  /// changes to `store` are not seen.
   TaskTimeEstimator(const cloud::Catalog& catalog,
                     const cloud::MetadataStore& store,
                     EstimatorOptions options = {});
+  /// Publishes the `estimator.builds` / `estimator.build_ms` totals.
+  ~TaskTimeEstimator();
+  TaskTimeEstimator(const TaskTimeEstimator&) = delete;
+  TaskTimeEstimator& operator=(const TaskTimeEstimator&) = delete;
 
   /// Execution-time distribution of `task` of `wf` on instance type `type`.
-  /// Cached; the cache key is (task id, type), so use one estimator per
-  /// workflow.  All accessors are thread-safe (the pipelined search driver
-  /// generates children — which read mean times — concurrently with batch
-  /// evaluation, which stages distributions); returned references stay
-  /// valid for the estimator's lifetime, and cache contents are independent
-  /// of call order, so concurrency cannot change results.
+  /// Cached per (workflow, task, type); workflows are told apart by
+  /// Workflow::uid(), so one estimator serves any number of workflows.  All
+  /// accessors are thread-safe (the pipelined search driver generates
+  /// children — which read mean times — concurrently with batch evaluation,
+  /// which stages distributions); returned references stay valid for the
+  /// estimator's lifetime, and cache contents are independent of call
+  /// order, so concurrency cannot change results.
   const util::Histogram& distribution(const workflow::Workflow& wf,
                                       workflow::TaskId task,
                                       cloud::TypeId type);
@@ -80,18 +96,44 @@ class TaskTimeEstimator {
   const EstimatorOptions& options() const { return options_; }
 
  private:
-  void build(const workflow::Workflow& wf, workflow::TaskId task,
-             cloud::TypeId type);
+  /// One type's calibrated store histograms, resolved at construction.
+  struct TypeInputs {
+    std::optional<util::Histogram> seq;  ///< sequential I/O, MB/s
+    std::optional<util::Histogram> rnd;  ///< random I/O, ops/s
+    std::optional<util::Histogram> net;  ///< bandwidth to type 0, Mbps
+  };
+  /// Both distributions of one (task, type); valid once `built`.
+  struct Entry {
+    util::Histogram total;    ///< cpu + io + net
+    util::Histogram dynamic;  ///< io + net
+    bool built = false;
+  };
+  /// Per-workflow cache: a flat task-major (task, type) table plus each
+  /// task's incoming edge bytes.  Sized once, and unordered_map never moves
+  /// mapped values, so entry references are stable.
+  struct WorkflowTables {
+    std::vector<double> in_bytes;
+    std::vector<Entry> entries;
+  };
+
+  /// The built entry of (wf, task, type); builds it on first use.
+  const Entry& entry(const workflow::Workflow& wf, workflow::TaskId task,
+                     cloud::TypeId type);
+  void build(const workflow::Workflow& wf, const WorkflowTables& tables,
+             workflow::TaskId task, cloud::TypeId type, Entry& out);
 
   const cloud::Catalog* catalog_;
-  const cloud::MetadataStore* store_;
   EstimatorOptions options_;
-  // Guards both caches.  Histograms are immutable once inserted and
-  // unordered_map never invalidates references to mapped values, so shared
-  // readers may hold returned references across later inserts.
+  std::vector<TypeInputs> inputs_;  // by type id
+  // Guards the tables, the build scratch and the build totals.  Entries
+  // are immutable once built, so shared readers may hold returned
+  // references across later builds.
   mutable std::shared_mutex cache_mutex_;
-  std::unordered_map<std::uint64_t, util::Histogram> cache_;      // total
-  std::unordered_map<std::uint64_t, util::Histogram> dyn_cache_;  // io+net
+  std::unordered_map<std::uint64_t, WorkflowTables> tables_;  // by uid
+  std::vector<double> dynamic_scratch_;
+  std::vector<double> total_scratch_;
+  std::uint64_t builds_ = 0;
+  double build_ms_ = 0;
 };
 
 /// Builds a metadata store directly from the catalog's distributions without

@@ -25,7 +25,24 @@ SchedulingProblem::SchedulingProblem(const workflow::Workflow& wf,
                                      EvalOptions eval)
     : wf_(&wf),
       estimator_(&estimator),
-      evaluator_(wf, estimator, backend, eval) {}
+      evaluator_(wf, estimator, backend, eval),
+      topo_(wf.topological_order()),
+      mean_(wf.task_count() * estimator.catalog().type_count()) {
+  for (std::atomic<double>& slot : mean_) {
+    slot.store(-1.0, std::memory_order_relaxed);
+  }
+}
+
+double SchedulingProblem::mean_time(workflow::TaskId t, cloud::TypeId v) {
+  std::atomic<double>& slot =
+      mean_[t * estimator_->catalog().type_count() + v];
+  double m = slot.load(std::memory_order_relaxed);
+  if (m < 0) {
+    m = estimator_->mean_time(*wf_, t, v);
+    slot.store(m, std::memory_order_relaxed);
+  }
+  return m;
+}
 
 sim::Plan SchedulingProblem::initial_plan(cloud::RegionId region) const {
   return sim::Plan::uniform(wf_->task_count(), 0, region);
@@ -33,11 +50,12 @@ sim::Plan SchedulingProblem::initial_plan(cloud::RegionId region) const {
 
 std::vector<workflow::TaskId> SchedulingProblem::critical_tasks(
     const sim::Plan& plan) {
+  if (!topo_) return {};
   std::vector<double> weights(wf_->task_count());
   for (workflow::TaskId t = 0; t < wf_->task_count(); ++t) {
-    weights[t] = estimator_->mean_time(*wf_, t, plan[t].vm_type);
+    weights[t] = mean_time(t, plan[t].vm_type);
   }
-  return workflow::critical_path(*wf_, weights).tasks;
+  return workflow::critical_path(*wf_, weights, *topo_).tasks;
 }
 
 sim::Plan SchedulingProblem::polish(sim::Plan plan, const ProbDeadline& req) {
@@ -47,17 +65,16 @@ sim::Plan SchedulingProblem::polish(sim::Plan plan, const ProbDeadline& req) {
 
   auto task_cost = [&](workflow::TaskId t, cloud::TypeId v,
                        cloud::RegionId region) {
-    return estimator_->mean_time(*wf_, t, v) * catalog.price(v, region) /
-           3600.0;
+    return mean_time(t, v) * catalog.price(v, region) / 3600.0;
   };
 
   // Pass 1 — cheapest type that is not slower: never hurts the makespan.
   for (workflow::TaskId t = 0; t < n; ++t) {
-    const double cur_time = estimator_->mean_time(*wf_, t, plan[t].vm_type);
+    const double cur_time = mean_time(t, plan[t].vm_type);
     cloud::TypeId best = plan[t].vm_type;
     double best_cost = task_cost(t, best, plan[t].region);
     for (cloud::TypeId v = 0; v < catalog.type_count(); ++v) {
-      if (estimator_->mean_time(*wf_, t, v) > cur_time) continue;
+      if (mean_time(t, v) > cur_time) continue;
       const double cost = task_cost(t, v, plan[t].region);
       if (cost < best_cost) {
         best = v;
@@ -184,7 +201,7 @@ SchedulingResult SchedulingProblem::greedy_feasible(const ProbDeadline& req,
     double best_time = -1;
     for (workflow::TaskId t : cp) {
       if (plan[t].vm_type + 1 >= catalog.type_count()) continue;
-      const double mt = estimator_->mean_time(*wf_, t, plan[t].vm_type);
+      const double mt = mean_time(t, plan[t].vm_type);
       if (mt > best_time) {
         best_time = mt;
         best = t;
@@ -195,7 +212,7 @@ SchedulingResult SchedulingProblem::greedy_feasible(const ProbDeadline& req,
       // deadline: promote the slowest promotable task anywhere.
       for (workflow::TaskId t = 0; t < wf_->task_count(); ++t) {
         if (plan[t].vm_type + 1 >= catalog.type_count()) continue;
-        const double mt = estimator_->mean_time(*wf_, t, plan[t].vm_type);
+        const double mt = mean_time(t, plan[t].vm_type);
         if (mt > best_time) {
           best_time = mt;
           best = t;
@@ -306,7 +323,7 @@ SchedulingResult SchedulingProblem::solve(const ProbDeadline& req,
     auto cost_estimate = [this](const sim::Plan& plan) {
       double cost = 0;
       for (workflow::TaskId t = 0; t < wf_->task_count(); ++t) {
-        cost += estimator_->mean_time(*wf_, t, plan[t].vm_type) *
+        cost += mean_time(t, plan[t].vm_type) *
                 estimator_->catalog().price(plan[t].vm_type, plan[t].region) /
                 3600.0;
       }

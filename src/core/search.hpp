@@ -22,8 +22,8 @@
 // Thread-safety contract for pipelining: children / hash / g_score / h_score
 // must be safe to call concurrently with evaluate (they may not share
 // unsynchronized mutable state with it).  Every in-repo problem satisfies
-// this — TaskTimeEstimator, the only shared mutable dependency, is
-// internally synchronized.  Set SearchOptions::pipeline = false for
+// this — TaskTimeEstimator and SchedulingProblem's mean-time table, the
+// only shared mutable dependencies, are internally synchronized.  Set SearchOptions::pipeline = false for
 // callbacks that cannot meet the contract.
 //
 // A* mode: when the user supplies g/h scores (cal_g_score / est_h_score in

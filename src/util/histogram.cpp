@@ -90,9 +90,7 @@ double Histogram::percentile(double q) const {
   return centers_[idx];
 }
 
-double Histogram::sample(Rng& rng) const {
-  if (empty()) return 0;
-  const double u = rng.uniform();
+double Histogram::sample_at(double u) const {
   const auto it = std::upper_bound(cdf_.begin(), cdf_.end(), u);
   const auto idx = static_cast<std::size_t>(
       std::min<std::ptrdiff_t>(it - cdf_.begin(),

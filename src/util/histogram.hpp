@@ -45,7 +45,13 @@ class Histogram {
   double percentile(double q) const;
 
   /// Draws a bin center by inverse-CDF sampling.  O(log bins).
-  double sample(Rng& rng) const;
+  double sample(Rng& rng) const {
+    return empty() ? 0 : sample_at(rng.uniform());
+  }
+
+  /// The bin center sample() returns for uniform `u`: the first bin whose
+  /// CDF exceeds u, clamped to the last bin.  Non-empty histograms only.
+  double sample_at(double u) const;
 
   /// P(X <= x) of the discretized distribution.
   double prob_le(double x) const;
@@ -58,5 +64,16 @@ class Histogram {
   std::vector<double> masses_;   // sums to 1
   std::vector<double> cdf_;      // running sum of masses_
 };
+
+/// Branch-free twin of Histogram::sample_at's bin search: #{cdf[k] <= u},
+/// clamped to the last bin.  On a non-decreasing CDF this count is exactly
+/// upper_bound's index, ties (zero-mass bins) included; it compiles to a
+/// vectorizable compare-and-add instead of log2(bins) unpredictable
+/// branches.  `cdf` must be non-empty.
+inline std::size_t cdf_index(std::span<const double> cdf, double u) {
+  std::size_t k = 0;
+  for (const double c : cdf) k += static_cast<std::size_t>(c <= u);
+  return k < cdf.size() ? k : cdf.size() - 1;
+}
 
 }  // namespace deco::util

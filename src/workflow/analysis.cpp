@@ -6,13 +6,19 @@ namespace deco::workflow {
 
 CriticalPath critical_path(const Workflow& wf,
                            std::span<const double> weights) {
-  CriticalPath cp;
   const auto topo = wf.topological_order();
-  if (!topo || wf.task_count() == 0) return cp;
+  if (!topo) return {};
+  return critical_path(wf, weights, *topo);
+}
+
+CriticalPath critical_path(const Workflow& wf, std::span<const double> weights,
+                           std::span<const TaskId> topo_order) {
+  CriticalPath cp;
+  if (wf.task_count() == 0) return cp;
 
   std::vector<double> dist(wf.task_count(), 0);
   std::vector<TaskId> pred(wf.task_count(), kInvalidTask);
-  for (TaskId id : *topo) {
+  for (TaskId id : topo_order) {
     dist[id] = weights[id];
     for (TaskId p : wf.parents(id)) {
       if (dist[p] + weights[id] > dist[id]) {

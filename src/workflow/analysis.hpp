@@ -20,6 +20,11 @@ struct CriticalPath {
 /// weights.size() must equal wf.task_count().
 CriticalPath critical_path(const Workflow& wf, std::span<const double> weights);
 
+/// The same path over a precomputed topological order (for callers that
+/// recompute it under changing weights).
+CriticalPath critical_path(const Workflow& wf, std::span<const double> weights,
+                           std::span<const TaskId> topo_order);
+
 /// Longest-path *length* only; the hot path used inside Monte Carlo kernels.
 double longest_path_length(const Workflow& wf, std::span<const double> weights,
                            std::span<const TaskId> topo_order);

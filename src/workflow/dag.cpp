@@ -1,11 +1,18 @@
 #include "workflow/dag.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <queue>
 
 namespace deco::workflow {
 
+std::uint64_t Workflow::next_uid() {
+  static std::atomic<std::uint64_t> counter{0};
+  return counter.fetch_add(1, std::memory_order_relaxed) + 1;
+}
+
 TaskId Workflow::add_task(Task task) {
+  uid_ = next_uid();
   const auto id = static_cast<TaskId>(tasks_.size());
   tasks_.push_back(std::move(task));
   children_.emplace_back();
@@ -14,6 +21,7 @@ TaskId Workflow::add_task(Task task) {
 }
 
 void Workflow::add_edge(TaskId parent, TaskId child, double bytes) {
+  uid_ = next_uid();
   for (auto& e : edges_) {
     if (e.parent == parent && e.child == child) {
       e.bytes += bytes;

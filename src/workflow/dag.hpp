@@ -43,11 +43,20 @@ class Workflow {
   /// Adds a dependency edge; duplicate edges are merged (bytes accumulate).
   void add_edge(TaskId parent, TaskId child, double bytes = 0);
 
+  /// Process-unique identity of this workflow's content, for caches keyed
+  /// by workflow: fresh for every constructed workflow and after every call
+  /// of a mutating member (add_task, add_edge, non-const task()).  A copy
+  /// shares its source's uid until either side is mutated.
+  std::uint64_t uid() const { return uid_; }
+
   std::size_t task_count() const { return tasks_.size(); }
   std::size_t edge_count() const { return edges_.size(); }
 
   const Task& task(TaskId id) const { return tasks_[id]; }
-  Task& task(TaskId id) { return tasks_[id]; }
+  Task& task(TaskId id) {
+    uid_ = next_uid();
+    return tasks_[id];
+  }
   const std::vector<Task>& tasks() const { return tasks_; }
   const std::vector<Edge>& edges() const { return edges_; }
 
@@ -70,6 +79,9 @@ class Workflow {
   std::optional<TaskId> find_task(const std::string& name) const;
 
  private:
+  static std::uint64_t next_uid();
+
+  std::uint64_t uid_ = next_uid();
   std::string name_;
   std::vector<Task> tasks_;
   std::vector<Edge> edges_;
