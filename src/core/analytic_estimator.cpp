@@ -55,37 +55,8 @@ constexpr std::array<double, 3> kNodeWeights = {2.0 / 3.0, 1.0 / 6.0,
 
 }  // namespace
 
-AnalyticEstimator::AnalyticEstimator(PlanEvaluator& owner) : owner_(&owner) {}
-
-const AnalyticEstimator::TaskMoments& AnalyticEstimator::moments(
-    workflow::TaskId task, cloud::TypeId type) {
-  const std::uint64_t key = (static_cast<std::uint64_t>(task) << 32) |
-                            static_cast<std::uint64_t>(type);
-  if (const auto it = moment_cache_.find(key); it != moment_cache_.end()) {
-    return it->second;
-  }
-  // The staged alias columns *are* the sampler's distribution: a uniform
-  // column pick (1/bins each) followed by the stay/alias branch.  Averaging
-  // over that process gives the exact moments the kernel samples from,
-  // failure inflation included.
-  const auto& seg = owner_->segment(task, type);
-  TaskMoments m;
-  m.cpu = seg.cpu;
-  const std::size_t bins = seg.columns.size();
-  if (bins != 0) {
-    double m1 = 0;
-    double m2 = 0;
-    for (const auto& col : seg.columns) {
-      m1 += col.prob * col.stay_center + (1.0 - col.prob) * col.alias_center;
-      m2 += col.prob * col.stay_center * col.stay_center +
-            (1.0 - col.prob) * col.alias_center * col.alias_center;
-    }
-    const double inv = 1.0 / static_cast<double>(bins);
-    m.mean = m1 * inv;
-    m.var = std::max(m2 * inv - m.mean * m.mean, 0.0);
-  }
-  return moment_cache_.emplace(key, m).first->second;
-}
+AnalyticEstimator::AnalyticEstimator(const PlanEvaluator& owner)
+    : owner_(&owner) {}
 
 double AnalyticEstimator::expected_billed_hours(double mean, double var) {
   // ceil(max(X, 1s)/3600) >= 1 always, and exceeds k iff X > 3600 k, so the
@@ -104,7 +75,8 @@ double AnalyticEstimator::expected_billed_hours(double mean, double var) {
 }
 
 AnalyticScreen AnalyticEstimator::screen(const sim::Plan& plan,
-                                         const ProbDeadline& req) {
+                                         const ProbDeadline& req,
+                                         vgpu::BlockContext& ctx) const {
   AnalyticScreen out;
   const EvalOptions& opt = owner_->options();
   const double required = std::min(req.quantile + opt.feasibility_margin, 1.0);
@@ -127,34 +99,43 @@ AnalyticScreen AnalyticEstimator::screen(const sim::Plan& plan,
   const double derated = req.deadline_s / std::max(opt.quantile_safety, 1.0);
 
   // Prep pass: per-position duration moments and prices, per-slot group
-  // billing constants.  Shares the segment cache with the MC path, so the
-  // staging work (histogram fetch + alias build) is paid once for both tiers.
-  fin_mu_.resize(n);
-  fin_var_.resize(n);
-  dyn_mu_.resize(n);
-  dyn_var_.resize(n);
-  cpu_.resize(n);
-  price_hour_.resize(n);
+  // billing constants.  The moments were computed once, when the segment
+  // was staged, so this is one table read per position.
   std::size_t slots = 0;
   for (const auto& placement : plan.placements) {
     slots = std::max(slots, static_cast<std::size_t>(placement.group + 1));
   }
+  const auto fin_mu = ctx.scratch_doubles(n);   // finish-time mean
+  const auto fin_var = ctx.scratch_doubles(n);  // finish-time variance
+  const auto dyn_mu = ctx.scratch_doubles(n);   // dynamic-time mean
+  const auto dyn_var = ctx.scratch_doubles(n);  // dynamic-time variance
+  const auto cpu = ctx.scratch_doubles(n);      // CPU seconds
+  const auto price_hour = ctx.scratch_doubles(n);  // unit price, USD/h
+  // Per group slot: instance-avail and summed-duration moments, price and
+  // member count.
+  const auto avail_mu = ctx.scratch_doubles(slots);
+  const auto avail_var = ctx.scratch_doubles(slots);
+  const auto gtime_mu = ctx.scratch_doubles(slots);
+  const auto gtime_var = ctx.scratch_doubles(slots);
+  const auto group_price = ctx.scratch_doubles(slots);
+  const auto group_count = ctx.scratch_doubles(slots);
   const auto& catalog = owner_->estimator_->catalog();
   for (std::size_t p = 0; p < n; ++p) {
     const workflow::TaskId t = owner_->topo_[p];
-    const TaskMoments& m = moments(t, plan[t].vm_type);
-    dyn_mu_[p] = m.mean;
-    dyn_var_[p] = m.var;
-    cpu_[p] = m.cpu;
-    price_hour_[p] = catalog.price(plan[t].vm_type, plan[t].region);
+    const auto& seg =
+        owner_->segment_cache_[owner_->segment_slot(t, plan[t].vm_type)];
+    dyn_mu[p] = seg.dyn_mean;
+    dyn_var[p] = seg.dyn_var;
+    cpu[p] = seg.cpu;
+    price_hour[p] = catalog.price(plan[t].vm_type, plan[t].region);
   }
-  group_price_.assign(slots, 0.0);
-  group_count_.assign(slots, 0);
+  std::fill(group_price.begin(), group_price.end(), 0.0);
+  std::fill(group_count.begin(), group_count.end(), 0.0);
   for (workflow::TaskId t = 0; t < n; ++t) {
     if (plan[t].group >= 0) {
       const auto g = static_cast<std::size_t>(plan[t].group);
-      group_price_[g] = catalog.price(plan[t].vm_type, plan[t].region);
-      ++group_count_[g];
+      group_price[g] = catalog.price(plan[t].vm_type, plan[t].region);
+      group_count[g] += 1.0;
     }
   }
 
@@ -168,17 +149,17 @@ AnalyticScreen AnalyticEstimator::screen(const sim::Plan& plan,
   for (std::size_t k = 0; k < kInterferenceNodes.size(); ++k) {
     const double s = 1.0 / kInterferenceNodes[k];
     const double s2 = s * s;
-    avail_mu_.assign(slots, 0.0);
-    avail_var_.assign(slots, 0.0);
-    gtime_mu_.assign(slots, 0.0);
-    gtime_var_.assign(slots, 0.0);
+    std::fill(avail_mu.begin(), avail_mu.end(), 0.0);
+    std::fill(avail_var.begin(), avail_var.end(), 0.0);
+    std::fill(gtime_mu.begin(), gtime_mu.end(), 0.0);
+    std::fill(gtime_var.begin(), gtime_var.end(), 0.0);
     double cost = 0;
     double mk_mu = 0;
     double mk_var = 0;
     bool mk_set = false;
     for (std::size_t p = 0; p < n; ++p) {
-      const double d_mu = cpu_[p] + dyn_mu_[p] * s;
-      const double d_var = dyn_var_[p] * s2;
+      const double d_mu = cpu[p] + dyn_mu[p] * s;
+      const double d_var = dyn_var[p] * s2;
       // start = max over parents' finish (Clark fold over the same
       // position-space CSR the kernel walks).
       double s_mu = 0;
@@ -186,35 +167,35 @@ AnalyticScreen AnalyticEstimator::screen(const sim::Plan& plan,
       const std::size_t pb = owner_->parent_offsets_[p];
       const std::size_t pe = owner_->parent_offsets_[p + 1];
       if (pb != pe) {
-        s_mu = fin_mu_[owner_->parents_[pb]];
-        s_var = fin_var_[owner_->parents_[pb]];
+        s_mu = fin_mu[owner_->parents_[pb]];
+        s_var = fin_var[owner_->parents_[pb]];
         for (std::size_t e = pb + 1; e < pe; ++e) {
-          clark_max(s_mu, s_var, fin_mu_[owner_->parents_[e]],
-                    fin_var_[owner_->parents_[e]], s_mu, s_var);
+          clark_max(s_mu, s_var, fin_mu[owner_->parents_[e]],
+                    fin_var[owner_->parents_[e]], s_mu, s_var);
         }
       }
       const std::int32_t g = plan[owner_->topo_[p]].group;
       if (g >= 0) {
         // Grouped tasks serialize on their shared instance:
         // finish = max(start, avail) + d.
-        clark_max(s_mu, s_var, avail_mu_[static_cast<std::size_t>(g)],
-                  avail_var_[static_cast<std::size_t>(g)], s_mu, s_var);
+        clark_max(s_mu, s_var, avail_mu[static_cast<std::size_t>(g)],
+                  avail_var[static_cast<std::size_t>(g)], s_mu, s_var);
       }
       const double f_mu = s_mu + d_mu;
       const double f_var = s_var + d_var;
-      fin_mu_[p] = f_mu;
-      fin_var_[p] = f_var;
+      fin_mu[p] = f_mu;
+      fin_var[p] = f_var;
       if (g >= 0) {
-        avail_mu_[static_cast<std::size_t>(g)] = f_mu;
-        avail_var_[static_cast<std::size_t>(g)] = f_var;
+        avail_mu[static_cast<std::size_t>(g)] = f_mu;
+        avail_var[static_cast<std::size_t>(g)] = f_var;
       }
       if (!billed) {
-        cost += d_mu * price_hour_[p] / 3600.0;
+        cost += d_mu * price_hour[p] / 3600.0;
       } else if (g >= 0) {
-        gtime_mu_[static_cast<std::size_t>(g)] += d_mu;
-        gtime_var_[static_cast<std::size_t>(g)] += d_var;
+        gtime_mu[static_cast<std::size_t>(g)] += d_mu;
+        gtime_var[static_cast<std::size_t>(g)] += d_var;
       } else {
-        cost += expected_billed_hours(d_mu, d_var) * price_hour_[p];
+        cost += expected_billed_hours(d_mu, d_var) * price_hour[p];
       }
       if (owner_->sink_[p]) {
         if (!mk_set) {
@@ -228,9 +209,9 @@ AnalyticScreen AnalyticEstimator::screen(const sim::Plan& plan,
     }
     if (billed) {
       for (std::size_t g = 0; g < slots; ++g) {
-        if (group_count_[g] == 0) continue;
-        cost += expected_billed_hours(gtime_mu_[g], gtime_var_[g]) *
-                group_price_[g];
+        if (group_count[g] == 0.0) continue;
+        cost += expected_billed_hours(gtime_mu[g], gtime_var[g]) *
+                group_price[g];
       }
     }
     node_mu[k] = mk_mu;

@@ -9,9 +9,10 @@
 //   finish[p] = max over parents q of finish[q]  +  duration[p]
 //
 // where duration[p] = cpu[p] + C_p * S, C_p the per-(task, vm-type) dynamic
-// time (first two moments read off the staged alias columns — the screen
-// shares PlanEvaluator's segment cache, so staging cost is paid once for both
-// tiers), and S = 1/I the shared interference speedup.  Because every task in
+// time (first two moments computed off the alias columns once, when
+// PlanEvaluator stages the segment, and stored in its one segment table — so
+// staging cost is paid once for all three tiers), and S = 1/I the shared
+// interference speedup.  Because every task in
 // one MC world scales by the *same* interference draw, the screen conditions
 // on I with a 3-node Gauss-Hermite quadrature over I ~ N(1, cv): propagate
 // moments once per node, then mix — this captures the strong positive
@@ -25,15 +26,15 @@
 // The verdict is expressed as a z-space margin so PlanEvaluator can apply its
 // guard band: |margin| >= guard accepts/rejects outright, anything inside the
 // band escalates to Tier 1 sampling (see docs/performance.md).
+//
+// Like Tiers 1-2, the screen runs on the compute backend with one block per
+// plan.  A screen only reads the evaluator's segment table and DAG image and
+// writes its block's scratch arena, so a plan's result is a function of
+// (plan, requirement) alone, bit-identical across backends and worker counts.
 #pragma once
 
-#include <cstdint>
-#include <unordered_map>
-#include <vector>
-
-#include "cloud/instance_type.hpp"
 #include "sim/plan.hpp"
-#include "workflow/dag.hpp"
+#include "vgpu/device.hpp"
 
 namespace deco::core {
 
@@ -55,48 +56,24 @@ struct AnalyticScreen {
 
 class AnalyticEstimator {
  public:
-  /// Borrows the evaluator (friend access to its staged segments, DAG image
-  /// and options); the evaluator owns this object, so lifetimes match.
-  explicit AnalyticEstimator(PlanEvaluator& owner);
+  /// Borrows the evaluator (friend access to its segment table, DAG image
+  /// and options); the evaluator must outlive this object.
+  explicit AnalyticEstimator(const PlanEvaluator& owner);
 
-  /// Screens one plan against a probabilistic deadline.  Allocation-free
-  /// after warm-up: per-position scratch is reused across calls and task
-  /// moments are cached per (task, vm type) alongside the segment cache.
-  AnalyticScreen screen(const sim::Plan& plan, const ProbDeadline& req);
+  /// Screens one plan against a probabilistic deadline.  Every segment the
+  /// plan places must already be staged in the owner's table (PlanEvaluator
+  /// resolves them serially before the launch).  Per-position and per-group
+  /// arrays are borrowed from the block's scratch arena, so concurrent
+  /// screens share no mutable state and steady state allocates nothing.
+  AnalyticScreen screen(const sim::Plan& plan, const ProbDeadline& req,
+                        vgpu::BlockContext& ctx) const;
 
  private:
-  /// First two moments of one task's dynamic time on one vm type plus its
-  /// constant CPU seconds, read off the staged alias columns (which already
-  /// fold in failure inflation).
-  struct TaskMoments {
-    double mean = 0;  ///< E[C], dynamic component
-    double var = 0;   ///< Var[C]
-    double cpu = 0;   ///< constant CPU seconds (failure-inflated)
-  };
-
-  const TaskMoments& moments(workflow::TaskId task, cloud::TypeId type);
-
   /// E[ceil(max(X, 1s) / 3600)] for X ~ N(mean, sqrt(var)) — the analytic
   /// billed-hours charge, via the survival sum 1 + sum_k P(X > 3600 k).
   static double expected_billed_hours(double mean, double var);
 
-  PlanEvaluator* owner_;
-  std::unordered_map<std::uint64_t, TaskMoments> moment_cache_;
-
-  // Per-call scratch, sized to the workflow / group-slot count and reused
-  // across calls (capacity sticks, so steady state is allocation-free).
-  std::vector<double> fin_mu_;   // finish-time mean per position
-  std::vector<double> fin_var_;  // finish-time variance per position
-  std::vector<double> dyn_mu_;   // dynamic-time mean per position
-  std::vector<double> dyn_var_;  // dynamic-time variance per position
-  std::vector<double> cpu_;      // CPU seconds per position
-  std::vector<double> price_hour_;  // assigned unit price per position, USD/h
-  std::vector<double> avail_mu_;    // per group slot: instance-avail mean
-  std::vector<double> avail_var_;
-  std::vector<double> gtime_mu_;  // per group slot: summed duration mean
-  std::vector<double> gtime_var_;
-  std::vector<double> group_price_;       // per group slot, USD/h
-  std::vector<std::uint32_t> group_count_;  // members per group slot
+  const PlanEvaluator* owner_;
 };
 
 }  // namespace deco::core

@@ -62,8 +62,6 @@ const char* to_string(EstimatorMode mode) {
   return "unknown";
 }
 
-PlanEvaluator::~PlanEvaluator() = default;
-
 PlanEvaluator::PlanEvaluator(const workflow::Workflow& wf,
                              TaskTimeEstimator& estimator,
                              vgpu::ComputeBackend& backend,
@@ -71,7 +69,9 @@ PlanEvaluator::PlanEvaluator(const workflow::Workflow& wf,
     : wf_(&wf),
       estimator_(&estimator),
       backend_(&backend),
-      options_(options) {
+      options_(options),
+      type_count_(estimator.catalog().type_count()),
+      segment_cache_(wf.task_count() * type_count_) {
   const auto topo = wf.topological_order();
   topo_ = topo.value_or(std::vector<workflow::TaskId>{});
   if (topo_.size() != wf.task_count()) return;  // cyclic: kernel never runs
@@ -108,10 +108,18 @@ std::size_t PlanEvaluator::PlanKeyHash::operator()(
   return static_cast<std::size_t>(h);
 }
 
-void PlanEvaluator::clear_staging_cache() {
-  segment_cache_.clear();
+std::size_t PlanEvaluator::drop_segments() {
+  std::size_t dropped = 0;
+  for (TaskSegment& seg : segment_cache_) {
+    if (!seg.staged) continue;
+    seg = TaskSegment{};
+    ++dropped;
+  }
   segment_cache_bytes_ = 0;
+  return dropped;
 }
+
+void PlanEvaluator::clear_staging_cache() { drop_segments(); }
 
 std::size_t PlanEvaluator::segment_bytes(const TaskSegment& seg) {
   return seg.columns.capacity() * sizeof(AliasColumn) + 96;
@@ -127,10 +135,8 @@ void PlanEvaluator::enforce_memory_budget() {
   // Degradation ladder, cheapest-to-rebuild first.  Eviction is
   // result-neutral: segments are pure functions of their keys, so a later
   // re-stage reproduces them bit-identically.
-  if (!segment_cache_.empty()) {
-    DECO_OBS_COUNTER_ADD("budget.evictions.segments", segment_cache_.size());
-    segment_cache_.clear();
-    segment_cache_bytes_ = 0;
+  if (const std::size_t dropped = drop_segments(); dropped != 0) {
+    DECO_OBS_COUNTER_ADD("budget.evictions.segments", dropped);
     budget->set_bytes(Component::kSegmentCache, 0);
   }
   if (!budget->over_memory_budget()) return;
@@ -146,18 +152,16 @@ void PlanEvaluator::enforce_memory_budget() {
 
 const PlanEvaluator::TaskSegment& PlanEvaluator::segment(
     workflow::TaskId task, cloud::TypeId type) {
-  const std::uint64_t key =
-      (static_cast<std::uint64_t>(task) << 32) | static_cast<std::uint64_t>(type);
-  if (const auto it = segment_cache_.find(key); it != segment_cache_.end()) {
+  TaskSegment& seg = segment_cache_[segment_slot(task, type)];
+  if (seg.staged) {
     ++cache_stats_.segment_hits;
-    return it->second;
+    return seg;
   }
   ++cache_stats_.segment_misses;
   // Single estimator round-trip per (task, type): the histogram is fetched
   // once and flattened into an alias table here; every later plan touching
   // this placement reuses the segment.
   const util::Histogram& hist = estimator_->dynamic_distribution(*wf_, task, type);
-  TaskSegment seg;
   const util::AliasTable table(hist.masses());
   const auto centers = hist.centers();
   seg.columns.resize(table.size());
@@ -181,8 +185,26 @@ const PlanEvaluator::TaskSegment& PlanEvaluator::segment(
       column.alias_center *= factor;
     }
   }
+  // Tier 0's moments.  The alias columns *are* the sampler's distribution: a
+  // uniform column pick (1/bins each) followed by the stay/alias branch.
+  // Averaging over that process gives the exact moments the kernel samples
+  // from, failure inflation included.
+  const std::size_t bins = seg.columns.size();
+  if (bins != 0) {
+    double m1 = 0;
+    double m2 = 0;
+    for (const AliasColumn& col : seg.columns) {
+      m1 += col.prob * col.stay_center + (1.0 - col.prob) * col.alias_center;
+      m2 += col.prob * col.stay_center * col.stay_center +
+            (1.0 - col.prob) * col.alias_center * col.alias_center;
+    }
+    const double inv = 1.0 / static_cast<double>(bins);
+    seg.dyn_mean = m1 * inv;
+    seg.dyn_var = std::max(m2 * inv - seg.dyn_mean * seg.dyn_mean, 0.0);
+  }
+  seg.staged = true;
   segment_cache_bytes_ += segment_bytes(seg);
-  return segment_cache_.emplace(key, std::move(seg)).first->second;
+  return seg;
 }
 
 PlanEvaluator::CacheStatsPublisher::~CacheStatsPublisher() {
@@ -203,16 +225,20 @@ PlanEvaluator::CacheStatsPublisher::~CacheStatsPublisher() {
 PlanEvaluator::DevicePlan PlanEvaluator::stage(const sim::Plan& plan) {
   DevicePlan dev;
   const std::size_t n = wf_->task_count();
-  dev.bin_offsets.assign(n + 1, 0);
+  dev.cols.resize(n);
+  dev.bins.resize(n);
   dev.cpu.resize(n);
   dev.price_per_s.resize(n);
   dev.price_hour.resize(n);
   dev.group.resize(n);
   // All per-position arrays in topological order: position p = task topo_[p].
+  // One table lookup per position; the image points at the segment's
+  // columns, which stay put until the next batch entry.
   for (std::size_t p = 0; p < n; ++p) {
     const workflow::TaskId t = topo_[p];
     const TaskSegment& seg = segment(t, plan[t].vm_type);
-    dev.bin_offsets[p + 1] = dev.bin_offsets[p] + seg.columns.size();
+    dev.cols[p] = seg.columns.data();
+    dev.bins[p] = seg.columns.size();
     dev.cpu[p] = seg.cpu;
     dev.price_hour[p] =
         estimator_->catalog().price(plan[t].vm_type, plan[t].region);
@@ -220,12 +246,6 @@ PlanEvaluator::DevicePlan PlanEvaluator::stage(const sim::Plan& plan) {
     dev.group[p] = plan[t].group;
     dev.group_slots = std::max(dev.group_slots,
                                static_cast<std::size_t>(plan[t].group + 1));
-  }
-  dev.columns.reserve(dev.bin_offsets.back());
-  for (std::size_t p = 0; p < n; ++p) {
-    const TaskSegment& seg = segment(topo_[p], plan[topo_[p]].vm_type);
-    dev.columns.insert(dev.columns.end(), seg.columns.begin(),
-                       seg.columns.end());
   }
   // Per-group billing constants (billed-hours model): the hourly price slot
   // is written in ascending task-id order, so the highest-id member's type
@@ -286,8 +306,7 @@ void PlanEvaluator::eval_tile_rows(
 
   // Evaluation pass (task-major rows over the tile's lanes).
   for (std::size_t p = 0; p < n; ++p) {
-    const std::size_t lo = dev.bin_offsets[p];
-    const std::size_t bins = dev.bin_offsets[p + 1] - lo;
+    const std::size_t bins = dev.bins[p];
     const double cpu = dev.cpu[p];
     const double* u_row = uniforms.data() + p * tile;
     double* f_row = finish.data() + p * tile;
@@ -299,7 +318,7 @@ void PlanEvaluator::eval_tile_rows(
     // ternary here compiles to a compare-and-jump whose outcome is random
     // on every sample; the mask compiles to a set-on-condition.
     if (bins != 0) {
-      const AliasColumn* cols = dev.columns.data() + lo;
+      const AliasColumn* cols = dev.cols[p];
       const double scale = static_cast<double>(bins);
       const auto last = static_cast<std::int32_t>(bins - 1);
       for (std::size_t j = 0; j < lanes; ++j) {
@@ -655,18 +674,42 @@ std::vector<ScreenedEvaluation> PlanEvaluator::evaluate_batch_screened(
 
   std::vector<ScreenedEvaluation> results(plans.size());
   if (plans.empty()) return results;
-  if (!analytic_) analytic_ = std::make_unique<AnalyticEstimator>(*this);
   ScreenStats delta;
 
-  // Screen everything and escalate only the guard band.  Accepted and
-  // rejected plans cost zero sampled worlds; their analytic cost/makespan
-  // feed the search ordering directly.  kAnalytic has no tier to escalate
-  // to, so its band is empty and the sign of the z margin decides.
+  // Tier 0 as a launch, one block per plan.  Every segment the batch places
+  // is resolved serially first — the only step that writes the table — so
+  // the blocks only read it, and a plan's screen is a pure function of
+  // (plan, req) on any backend at any worker count.
+  std::vector<AnalyticScreen> screens(plans.size());
+  {
+    DECO_OBS_SPAN_TIMED("eval", "screen", "eval.screen_ms");
+    util::BudgetTracker* const budget = budget_;
+    enforce_memory_budget();
+    for (const sim::Plan& plan : plans) {
+      for (const workflow::TaskId t : topo_) segment(t, plan[t].vm_type);
+    }
+    vgpu::LaunchConfig config;
+    config.blocks = plans.size();
+    config.lanes_per_block = 1;  // the screen draws nothing
+    config.shared_doubles = 0;
+    config.cancel = budget != nullptr ? budget->launch_cancel() : nullptr;
+    const AnalyticEstimator analytic(*this);
+    backend_->launch(config, [&](vgpu::BlockContext& ctx) {
+      if (budget != nullptr) budget->checkpoint();
+      const std::size_t block = ctx.block_index();
+      screens[block] = analytic.screen(plans[block], req, ctx);
+    });
+  }
+
+  // Escalate only the guard band.  Accepted and rejected plans cost zero
+  // sampled worlds; their analytic cost/makespan feed the search ordering
+  // directly.  kAnalytic has no tier to escalate to, so its band is empty
+  // and the sign of the z margin decides.
   const double guard =
       options_.estimator == EstimatorMode::kAuto ? kScreenGuardZ : 0.0;
   std::vector<std::size_t> escalated;
   for (std::size_t i = 0; i < plans.size(); ++i) {
-    const AnalyticScreen s = analytic_->screen(plans[i], req);
+    const AnalyticScreen& s = screens[i];
     ++delta.screened;
     results[i].eval.mean_cost = s.mean_cost;
     results[i].eval.mean_makespan = s.mean_makespan;

@@ -10,18 +10,20 @@
 // The two sampling tiers of the estimator hierarchy are this one kernel with
 // two world sources: Tier 2 draws each world from a per-lane RNG stream,
 // Tier 1 takes it from a shared Kronecker point set and may stop at a tile
-// boundary once a Wilson bound decides feasibility.  The histogram
-// data is laid out as flat SoA arrays (offsets + centers + alias tables) so
-// the kernel touches contiguous memory — the paper's "memory-optimized"
-// implementation.
+// boundary once a Wilson bound decides feasibility.  Tier 0, the analytic
+// screen, is a launch of its own over the same blocks-per-plan shape.  The
+// histogram data is laid out as flat SoA arrays (per-position column
+// pointers into contiguous alias columns) so the kernel touches contiguous
+// memory — the paper's "memory-optimized" implementation.
 //
 // The hot path is allocation-free and O(1) per task-sample (see
 // docs/performance.md):
 //   * bins are drawn through Walker/Vose alias tables instead of a binary
 //     CDF search;
-//   * per-(task, vm type) staged segments are cached, so the
+//   * per-(task, vm type) staged segments live in one flat table, so the
 //     mostly-overlapping plans a search wave produces share their staging
-//     work and each plan image is assembled by copying cached columns;
+//     work, and each plan image references its segments' columns instead of
+//     copying them;
 //   * lane scratch lives in the block context's reusable arena, not in
 //     per-lane heap allocations;
 //   * both passes over a tile walk task rows across lanes without
@@ -30,11 +32,9 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <span>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "core/estimator.hpp"
@@ -47,8 +47,6 @@
 #include "workflow/dag.hpp"
 
 namespace deco::core {
-
-class AnalyticEstimator;
 
 /// Probabilistic deadline requirement: P(makespan <= deadline) >= quantile.
 struct ProbDeadline {
@@ -160,11 +158,33 @@ struct ScreenStats {
 
 class PlanEvaluator {
  public:
+  /// One pre-resolved alias-table column: a draw that lands in this column
+  /// yields `stay_center` with probability `prob`, else `alias_center`.
+  /// Materializing both bin centers in the column removes the dependent
+  /// centers[alias[k]] load from the sampling loop — one contiguous 24-byte
+  /// read per draw.
+  struct AliasColumn {
+    double prob = 1;
+    double stay_center = 0;
+    double alias_center = 0;
+  };
+
+  /// One staged (task, vm type) unit, shared by all three tiers: the
+  /// dynamic-time histogram flattened into alias columns, the constant CPU
+  /// time, and the first two moments of the dynamic time (the analytic
+  /// screen's input), all after failure inflation.
+  struct TaskSegment {
+    std::vector<AliasColumn> columns;
+    double cpu = 0;
+    double dyn_mean = 0;  ///< E[dynamic time] under the alias columns
+    double dyn_var = 0;   ///< Var[dynamic time] under the alias columns
+    bool staged = false;  ///< false until built (and again after eviction)
+  };
+
   /// The evaluator borrows the workflow, estimator and backend; they must
   /// outlive it.
   PlanEvaluator(const workflow::Workflow& wf, TaskTimeEstimator& estimator,
                 vgpu::ComputeBackend& backend, EvalOptions options = {});
-  ~PlanEvaluator();  // out-of-line: AnalyticEstimator is incomplete here
 
   /// Evaluates one plan against a probabilistic deadline.
   PlanEvaluation evaluate(const sim::Plan& plan, const ProbDeadline& req);
@@ -202,6 +222,12 @@ class PlanEvaluator {
   /// Drops the segment cache (e.g. after the estimator was recalibrated).
   void clear_staging_cache();
 
+  /// The staged segment of one (task, vm type), built on first use and
+  /// counted as a cache hit or miss.  The reference stays valid until the
+  /// cache is cleared or evicted (the memory ladder runs only at batch
+  /// entry).
+  const TaskSegment& segment(workflow::TaskId task, cloud::TypeId type);
+
   /// Arms (or disarms, with nullptr) a per-solve budget.  Batch entry points
   /// publish cache bytes, run the memory degradation ladder (drop the
   /// segments, then request a visited-set shrink from the driver), and
@@ -216,17 +242,6 @@ class PlanEvaluator {
   std::size_t cache_bytes() const { return segment_cache_bytes_; }
 
  private:
-  /// One pre-resolved alias-table column: a draw that lands in this column
-  /// yields `stay_center` with probability `prob`, else `alias_center`.
-  /// Materializing both bin centers in the column removes the dependent
-  /// centers[alias[k]] load from the sampling loop — one contiguous 24-byte
-  /// read per draw.
-  struct AliasColumn {
-    double prob = 1;
-    double stay_center = 0;
-    double alias_center = 0;
-  };
-
   /// Flat SoA image of one plan's histograms, prices and grouping.  The
   /// histograms cover the dynamic (I/O + network) component; CPU time is a
   /// constant per task added after interference scaling.  All per-task
@@ -234,11 +249,12 @@ class PlanEvaluator {
   /// task topo_[p]), so the kernel's single forward pass walks every array
   /// sequentially, and each array starts on a 64-byte boundary so the
   /// task-major row loops vectorize with aligned accesses.  Bins are
-  /// sampled through flat alias columns: column k of position p lives at
-  /// bin_offsets[p] + k.
+  /// sampled through the alias columns of the position's cached segment,
+  /// which the image references rather than copies: column k of position p
+  /// is cols[p][k], for k < bins[p].
   struct DevicePlan {
-    util::AlignedVector<std::size_t> bin_offsets;  // N+1
-    util::AlignedVector<AliasColumn> columns;
+    util::AlignedVector<const AliasColumn*> cols;  // segment columns/position
+    util::AlignedVector<std::size_t> bins;         // columns per position
     util::AlignedVector<double> cpu;          // constant CPU seconds/position
     util::AlignedVector<double> price_per_s;  // assigned unit price / 3600
     util::AlignedVector<double> price_hour;   // assigned unit price, USD/h
@@ -248,14 +264,12 @@ class PlanEvaluator {
     std::size_t group_slots = 0;                    // max group id + 1
   };
 
-  /// One cached (task, vm type) staging unit: the dynamic-time histogram
-  /// flattened into alias columns, plus the constant CPU time.
-  struct TaskSegment {
-    std::vector<AliasColumn> columns;
-    double cpu = 0;
-  };
-
-  const TaskSegment& segment(workflow::TaskId task, cloud::TypeId type);
+  /// Table slot of one (task, vm type): task-major, like the estimator's.
+  std::size_t segment_slot(workflow::TaskId task, cloud::TypeId type) const {
+    return static_cast<std::size_t>(task) * type_count_ + type;
+  }
+  /// Drops every staged segment; returns how many there were.
+  std::size_t drop_segments();
   DevicePlan stage(const sim::Plan& plan);
   PlanEvaluation reduce(std::span<const double> makespans,
                         std::span<const double> costs,
@@ -328,21 +342,25 @@ class PlanEvaluator {
     std::size_t operator()(const sim::Plan& plan) const;
   };
 
-  // Staging cache, keyed by (task, vm type): the estimator's distributions
-  // are deterministic per key, so entries never invalidate.  Plan images are
-  // assembled per batch from these segments and not cached themselves.
-  std::unordered_map<std::uint64_t, TaskSegment> segment_cache_;
+  // Staging cache: one flat task-major table of n x type_count_ segments,
+  // indexed by segment_slot().  The estimator's distributions are
+  // deterministic per (task, type), so entries never invalidate.  The table
+  // is sized once and never reallocates, so plan images can point into its
+  // columns; it changes only between launches (segment builds are serial,
+  // and the memory ladder runs at batch entry).
+  std::size_t type_count_ = 0;
+  std::vector<TaskSegment> segment_cache_;
   StagingCacheStats cache_stats_;
   StagingCacheStats published_cache_stats_;  // cache_stats_ at last publish
   std::size_t segment_cache_bytes_ = 0;
   util::BudgetTracker* budget_ = nullptr;  // borrowed; null = unbudgeted
 
-  // Estimator hierarchy.  The analytic screen (Tier 0) shares the segment
-  // cache through its friendship; the Kronecker sequence (Tier 1) is built
-  // lazily at first escalation — one dimension for the interference factor
-  // plus one per task — and shared by every plan (common random numbers).
+  // Estimator hierarchy.  The analytic screen (Tier 0) reads the segment
+  // table and the DAG image through its friendship; the Kronecker sequence
+  // (Tier 1) is built lazily at first escalation — one dimension for the
+  // interference factor plus one per task — and shared by every plan
+  // (common random numbers).
   friend class AnalyticEstimator;
-  std::unique_ptr<AnalyticEstimator> analytic_;
   util::KroneckerSequence qmc_points_;
   ScreenStats screen_stats_;
 };

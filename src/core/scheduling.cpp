@@ -257,11 +257,13 @@ SchedulingResult SchedulingProblem::solve(const ProbDeadline& req,
 
   SearchCallbacks<sim::Plan> cb;
   cb.hash = plan_hash;
+  // One op over the distinct critical-path tasks yields distinct children,
+  // so apply_op needs no generate_children-style dedup (and its plan_hash
+  // per child); the search's visited set still dedups across states.
   cb.children = [this, &catalog](const sim::Plan& plan) {
     TransformOptions topt;
     topt.focus_tasks = critical_tasks(plan);
-    return generate_children(plan, *wf_, catalog, {TransformOp::kPromote},
-                             topt);
+    return apply_op(TransformOp::kPromote, plan, *wf_, catalog, topt);
   };
   // In screened modes the search wave is scored by the estimator hierarchy:
   // analytic accepts/rejects cost zero sampled worlds, the guard band runs
