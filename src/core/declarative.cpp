@@ -1,5 +1,6 @@
 #include "core/declarative.hpp"
 
+#include <algorithm>
 #include <functional>
 #include <optional>
 #include <unordered_map>
@@ -16,7 +17,12 @@ struct GeneratorSolution {
   std::unordered_map<std::int64_t, wlog::TermPtr> substitution;
 };
 
-/// Enumerates the solutions of a generator term against the IR's base.
+/// Most solutions a generator may have; more is reported as an error rather
+/// than silently searching over a truncated entity or choice set.
+constexpr std::size_t kMaxGeneratorSolutions = 4096;
+
+/// Enumerates the solutions of a generator term against the IR's base; at
+/// most kMaxGeneratorSolutions + 1, so callers can tell an overflow.
 std::vector<GeneratorSolution> enumerate_generator(
     const wlog::Database& base, const wlog::TermPtr& generator,
     wlog::ExecMode exec, util::BudgetTracker* budget = nullptr) {
@@ -44,7 +50,7 @@ std::vector<GeneratorSolution> enumerate_generator(
     }
     sol.key = wlog::to_string(b.deep_resolve(generator));
     out.push_back(std::move(sol));
-    return out.size() >= 4096;  // hard cap against runaway generators
+    return out.size() > kMaxGeneratorSolutions;
   });
   return out;
 }
@@ -73,6 +79,21 @@ wlog::TermPtr instantiate(const wlog::TermPtr& term,
       return term;
   }
 }
+
+/// Layers facts on a database for the lifetime of the scope: everything
+/// added after construction is undone on exit, also when a budget exception
+/// unwinds through a query.
+class FactLayer {
+ public:
+  explicit FactLayer(wlog::Database& db) : db_(db), mark_(db.mark()) {}
+  ~FactLayer() { db_.undo_to(mark_); }
+  FactLayer(const FactLayer&) = delete;
+  FactLayer& operator=(const FactLayer&) = delete;
+
+ private:
+  wlog::Database& db_;
+  std::size_t mark_;
+};
 
 std::uint64_t assignment_hash(const std::vector<int>& assignment) {
   std::uint64_t h = 0xcbf29ce484222325ULL;
@@ -121,6 +142,15 @@ DeclarativeResult DeclarativeSolver::solve(const wlog::Program& program,
     result.budget = options_.budget->report(0);
     return result;
   }
+  for (const auto* solutions : {&entities, &choices}) {
+    if (solutions->size() > kMaxGeneratorSolutions) {
+      result.error = std::string(solutions == &entities ? "the first"
+                                                        : "the second") +
+                     " generator has more than " +
+                     std::to_string(kMaxGeneratorSolutions) + " solutions";
+      return result;
+    }
+  }
   if (entities.empty()) {
     result.error = "the first generator has no solutions (missing facts?)";
     return result;
@@ -139,26 +169,32 @@ DeclarativeResult DeclarativeSolver::solve(const wlog::Program& program,
   const std::size_t n = entities.size();
   const std::size_t k = boolean_form ? 2 : choices.size();
 
-  // Bind a state: assert the decision facts for the assignment.
-  auto bind_state = [&](const std::vector<int>& assignment) {
-    wlog::ProbProgram bound = ir;
-    for (std::size_t e = 0; e < n; ++e) {
+  // The decision facts, instantiated once per solve: decision[e][c] is the
+  // fact asserted when entity e takes choice c (boolean form: the flag,
+  // asserted both ways so rules can test 1 or 0).  A state is the base IR
+  // plus one fact per entity, layered on and peeled off again per state.
+  std::vector<std::vector<wlog::TermPtr>> decision(n);
+  for (std::size_t e = 0; e < n; ++e) {
+    decision[e].reserve(k);
+    for (std::size_t c = 0; c < k; ++c) {
       if (boolean_form) {
-        // Assert the flag both ways so rules can test 1 or 0.
-        bound.base().add_fact(instantiate(decl.template_term,
-                                          entities[e].substitution,
-                                          assignment[e] ? 1 : 0));
-      } else {
-        auto substitution = entities[e].substitution;
-        for (const auto& [id, term] :
-             choices[static_cast<std::size_t>(assignment[e])].substitution) {
-          substitution[id] = term;
-        }
-        bound.base().add_fact(
-            instantiate(decl.template_term, substitution, 1));
+        decision[e].push_back(instantiate(
+            decl.template_term, entities[e].substitution,
+            static_cast<std::int64_t>(c)));
+        continue;
       }
+      auto substitution = entities[e].substitution;
+      for (const auto& [id, term] : choices[c].substitution) {
+        substitution[id] = term;
+      }
+      decision[e].push_back(instantiate(decl.template_term, substitution, 1));
     }
-    return bound;
+  }
+  auto assert_state = [&](wlog::Database& db,
+                          const std::vector<int>& assignment) {
+    for (std::size_t e = 0; e < n; ++e) {
+      db.add_fact(decision[e][static_cast<std::size_t>(assignment[e])]);
+    }
   };
 
   wlog::McOptions mc;
@@ -174,8 +210,12 @@ DeclarativeResult DeclarativeSolver::solve(const wlog::Program& program,
                                    ? SegmentPlan::translate(ir, program)
                                    : SegmentPlan{};
 
+  // The evaluation's own copy of the IR; evaluate runs on the pipelined
+  // evaluation thread, so nothing here is shared with the f-scoring below.
+  wlog::ProbProgram bound = ir;
   auto evaluate_state = [&](const std::vector<int>& assignment) -> Scored {
-    const wlog::ProbProgram bound = bind_state(assignment);
+    const FactLayer layer(bound.base());
+    assert_state(bound.base(), assignment);
     std::optional<SegmentState> seg;
     if (seg_plan.any()) seg.emplace(seg_plan, bound);
     const auto sample_values = [&](const wlog::TermPtr& query,
@@ -277,14 +317,43 @@ DeclarativeResult DeclarativeSolver::solve(const wlog::Program& program,
   const std::vector<int> initial(n, 0);
   SearchResult<std::vector<int>> found;
   if (program.astar_enabled) {
+    // f-scores run on the driver thread, beside the evaluation, over their
+    // own database: the modal world, with the state's decision facts layered
+    // per call.  One solver serves the whole search, so its compiled-clause
+    // cache stays warm and only the decision predicate recompiles.  Clause
+    // order matters only within a predicate; when the decision facts share
+    // the group facts' predicate, the modal facts are layered after them on
+    // every call, as in a modal world built from the bound IR.
+    std::vector<wlog::TermPtr> modal_facts;
+    bool shared_predicate = false;
+    for (const wlog::ProbGroup& group : ir.groups()) {
+      if (group.facts.empty()) continue;
+      const auto modal = static_cast<std::size_t>(
+          std::max_element(group.probs.begin(), group.probs.end()) -
+          group.probs.begin());
+      modal_facts.push_back(group.facts[modal]);
+      shared_predicate =
+          shared_predicate ||
+          wlog::indicator(*modal_facts.back()) ==
+              wlog::indicator(*decl.template_term);
+    }
+    wlog::Database scorer_db = ir.base();
+    if (!shared_predicate) {
+      for (const wlog::TermPtr& fact : modal_facts) scorer_db.add_fact(fact);
+    }
+    wlog::Solver scorer(scorer_db, options_.exec);
+    scorer.set_budget(options_.budget);
     auto score_via = [&](const char* predicate,
                          const std::vector<int>& assignment) {
-      const wlog::ProbProgram bound = bind_state(assignment);
-      const wlog::Database modal = bound.modal_world();
-      wlog::Solver solver(modal, options_.exec);
-      solver.set_budget(options_.budget);
+      const FactLayer layer(scorer_db);
+      assert_state(scorer_db, assignment);
+      if (shared_predicate) {
+        for (const wlog::TermPtr& fact : modal_facts) {
+          scorer_db.add_fact(fact);
+        }
+      }
       const auto solutions =
-          solver.query(std::string(predicate) + "(Score)", 1);
+          scorer.query(std::string(predicate) + "(Score)", 1);
       if (solutions.empty()) return 0.0;
       return solutions[0].number("Score");
     };

@@ -20,6 +20,16 @@
 // one-entity transitions (the Promote-style lattice of Fig. 5), evaluated by
 // Monte Carlo inference over the IR, and searched generically or with A*
 // (cal_g_score / est_h_score) when enabled(astar) is present.
+//
+// A state costs only what its decision facts change.  The facts are
+// instantiated once per solve, one per (entity, choice).  The evaluation
+// keeps one copy of the IR and layers a state's facts onto it for the
+// state's evaluation (Database::mark / undo_to), never copying the program
+// per state.  A* scores run on the search driver's thread beside the
+// evaluation, over their own modal-world database and one wlog::Solver per
+// solve, with the facts layered the same way per call, so the solver's
+// compiled clauses stay warm.  A generator with more than 4096 solutions is
+// an error, not a truncated search space.
 #pragma once
 
 #include <string>
@@ -75,7 +85,7 @@ class DeclarativeSolver {
       : options_(options) {}
 
   /// Solves `program` over the IR `ir` (rules + facts + probabilistic
-  /// groups; the decision facts are asserted per state by the solver).
+  /// groups; the decision facts are layered per state by the solver).
   DeclarativeResult solve(const wlog::Program& program,
                           const wlog::ProbProgram& ir);
 

@@ -81,6 +81,9 @@ WlogSolveResult Deco::solve_program(const std::string& source,
   result.ok = true;
   result.goal_value = solved.goal_value;
   result.feasible = solved.feasible;
+  result.entities = solved.entities;
+  result.choices = solved.choices;
+  result.assignment = solved.assignment;
 
   // Map the generic assignment back to a provisioning plan when the var
   // declaration is configs-shaped: entities enumerate task facts in task-id

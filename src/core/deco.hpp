@@ -18,6 +18,7 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "core/declarative.hpp"
 #include "core/ensemble_planner.hpp"
@@ -59,7 +60,14 @@ struct DecoOptions {
 struct WlogSolveResult {
   bool ok = false;
   std::string error;
+  /// The provisioning plan when the var declaration is configs-shaped (one
+  /// choice per task among the catalog's types); empty otherwise.
   sim::Plan plan;
+  /// The solver's generic answer, always filled on success: entity keys,
+  /// choice keys, and per entity the index of its choice.
+  std::vector<std::string> entities;
+  std::vector<std::string> choices;
+  std::vector<int> assignment;
   double goal_value = 0;
   bool feasible = false;
   SearchStats stats;

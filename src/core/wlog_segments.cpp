@@ -314,8 +314,11 @@ std::optional<std::vector<SegmentAlt>> parse_group(
                           alts[0].vid != fact->args[1]->text)) {
       return std::nullopt;  // alternatives must share one (task, vid) key
     }
-    alts.push_back(
-        SegmentAlt{fact->args[0]->text, fact->args[1]->text, fact->args[2]});
+    const TermPtr& value = fact->args[2];
+    alts.push_back(SegmentAlt{
+        fact->args[0]->text, fact->args[1]->text,
+        numeric(value) ? std::optional<double>(value->number())
+                       : std::nullopt});
   }
   return alts;
 }
@@ -355,9 +358,21 @@ SegmentPlan SegmentPlan::translate(const wlog::ProbProgram& ir,
   plan.groups_ = std::move(groups);
   plan.prob_groups_ = ir.groups();
   plan.group_functor_ = group_functor;
+  for (std::size_t g = 0; g < plan.groups_.size(); ++g) {
+    if (!plan.groups_[g].empty()) {
+      plan.groups_by_task_[plan.groups_[g][0].task].push_back(g);
+    }
+  }
   DECO_OBS_COUNTER_ADD("wlog.vm.segment_translations",
                        (plan.sum_ ? 1 : 0) + (plan.path_ ? 1 : 0));
   return plan;
+}
+
+const std::vector<std::size_t>& SegmentPlan::groups_of(
+    const std::string& task) const {
+  static const std::vector<std::size_t> kNone;
+  const auto it = groups_by_task_.find(task);
+  return it == groups_by_task_.end() ? kNone : it->second;
 }
 
 namespace {
@@ -389,175 +404,225 @@ bool atom_args(const TermPtr& fact, std::size_t n) {
 SegmentState::SegmentState(const SegmentPlan& plan,
                            const wlog::ProbProgram& bound)
     : plan_(&plan) {
-  const wlog::Database& db = bound.base();
-  const std::string& group_f = plan.group_functor();
+  if (plan.sum()) build_sum(bound.base());
+  if (plan.path()) build_path(bound.base());
+}
 
-  if (plan.sum()) {
-    const SumShape& shape = *plan.sum();
-    sum_ok_ = true;
-    // A world-varying configs or price table cannot be replayed from the
-    // static snapshot below (only the exetime table is layered per world).
-    if (!group_f.empty() &&
-        (group_f == shape.cfg_f || group_f == shape.price_f)) {
-      sum_ok_ = false;
+void SegmentState::build_sum(const wlog::Database& db) {
+  const SumShape& shape = *plan_->sum();
+  const std::string& group_f = plan_->group_functor();
+  // A world-varying configs or price table cannot be replayed from the
+  // static snapshot below (only the exetime table is layered per world).
+  if (!group_f.empty() &&
+      (group_f == shape.cfg_f || group_f == shape.price_f)) {
+    return;
+  }
+  std::vector<TermPtr> prices;
+  std::vector<TermPtr> exes;
+  std::vector<TermPtr> cfgs;
+  if (!read_facts(db, shape.price_f, 2, prices) ||
+      !read_facts(db, shape.exe_f, 3, exes) ||
+      !read_facts(db, shape.cfg_f, 3, cfgs)) {
+    return;
+  }
+  for (const TermPtr& p : prices) {
+    if (p->args[0]->kind != TermKind::kAtom) return;
+  }
+  for (const TermPtr& e : exes) {
+    if (!atom_args(e, 2)) return;
+  }
+  std::unordered_map<std::string, std::vector<const Term*>> cfg_by_task;
+  for (const TermPtr& c : cfgs) {
+    if (!atom_args(c, 2)) return;
+    cfg_by_task[c->args[0]->text].push_back(c.get());
+  }
+
+  // The interpreter enumerates cost/3 solutions as price x exetime x configs
+  // in clause order, with the world's sampled facts appended after the
+  // static ones.  Resolving the join here in that order leaves each world a
+  // running sum over its chosen values, so the accumulated double is
+  // bit-identical.
+  const auto& groups = plan_->groups();
+  auto add = [&](const TermPtr& price, const std::string& task,
+                 const std::string& vid, std::size_t group,
+                 const TermPtr& value) {
+    if (vid != price->args[0]->text) return;
+    const auto it = cfg_by_task.find(task);
+    if (it == cfg_by_task.end()) return;
+    for (const Term* c : it->second) {
+      if (c->args[1]->text != vid) continue;
+      const TermPtr& up = price->args[1];
+      const TermPtr& con = c->args[2];
+      if (!numeric(up) || !numeric(con)) continue;
+      if (group == kStatic && !numeric(value)) continue;
+      sum_terms_.push_back(
+          SumTerm{group, group == kStatic ? value->number() : 0,
+                  up->number() * con->number()});
+      if (group != kStatic) sum_reads_[group] = 1;
     }
-    std::vector<TermPtr> facts;
-    if (sum_ok_ && read_facts(db, shape.price_f, 2, facts)) {
-      for (const TermPtr& f : facts) {
-        if (f->args[0]->kind != TermKind::kAtom) {
-          sum_ok_ = false;
-          break;
-        }
-        prices_.push_back(PriceFact{f->args[0]->text, f->args[1]});
-      }
-    } else {
-      sum_ok_ = false;
+  };
+  const bool layered = group_f == shape.exe_f;
+  sum_reads_.assign(groups.size(), 0);
+  for (const TermPtr& p : prices) {
+    for (const TermPtr& e : exes) {
+      add(p, e->args[0]->text, e->args[1]->text, kStatic, e->args[2]);
     }
-    facts.clear();
-    if (sum_ok_ && read_facts(db, shape.exe_f, 3, facts)) {
-      for (const TermPtr& f : facts) {
-        if (!atom_args(f, 2)) {
-          sum_ok_ = false;
-          break;
+    if (layered) {
+      for (std::size_t g = 0; g < groups.size(); ++g) {
+        if (!groups[g].empty()) {
+          add(p, groups[g][0].task, groups[g][0].vid, g, nullptr);
         }
-        exe_static_.push_back(
-            SegmentAlt{f->args[0]->text, f->args[1]->text, f->args[2]});
       }
-    } else {
-      sum_ok_ = false;
     }
-    facts.clear();
-    if (sum_ok_ && read_facts(db, shape.cfg_f, 3, facts)) {
-      for (const TermPtr& f : facts) {
-        if (!atom_args(f, 2)) {
-          sum_ok_ = false;
-          break;
+  }
+  sum_ok_ = true;
+}
+
+void SegmentState::build_path(const wlog::Database& db) {
+  const PathShape& shape = *plan_->path();
+  const std::string& group_f = plan_->group_functor();
+  if (!group_f.empty() && group_f == shape.cfg_f) return;
+
+  std::vector<std::string> nodes;  // first-appearance order
+  std::unordered_map<std::string, std::size_t> node_ids;
+  std::vector<std::vector<std::size_t>> children;
+  auto node_id = [&](const std::string& name) {
+    const auto [it, inserted] = node_ids.try_emplace(name, nodes.size());
+    if (inserted) {
+      nodes.push_back(name);
+      children.emplace_back();
+    }
+    return it->second;
+  };
+  std::vector<TermPtr> edges;
+  if (!read_facts(db, shape.edge_f, 2, edges)) return;
+  for (const TermPtr& f : edges) {
+    if (!atom_args(f, 2)) return;
+    const std::size_t from = node_id(f->args[0]->text);
+    const std::size_t to = node_id(f->args[1]->text);
+    children[from].push_back(to);
+  }
+  const std::size_t n = nodes.size();
+
+  // The DP needs an acyclic edge relation (the interpreter would diverge
+  // on a cyclic one anyway; refuse rather than guess).
+  {
+    std::vector<char> color(n, 0);  // 0 new, 1 open, 2 done
+    for (std::size_t root = 0; root < n; ++root) {
+      if (color[root] != 0) continue;
+      std::vector<std::pair<std::size_t, std::size_t>> stack{{root, 0}};
+      color[root] = 1;
+      while (!stack.empty()) {
+        auto& [x, next] = stack.back();
+        if (next < children[x].size()) {
+          const std::size_t c = children[x][next++];
+          if (color[c] == 1) return;  // cycle
+          if (color[c] == 0) {
+            color[c] = 1;
+            stack.emplace_back(c, 0);
+          }
+        } else {
+          color[x] = 2;
+          stack.pop_back();
         }
-        cfgs_.push_back(
-            CfgFact{f->args[0]->text, f->args[1]->text, f->args[2]});
       }
-    } else {
-      sum_ok_ = false;
     }
   }
 
-  if (plan.path()) {
-    const PathShape& shape = *plan.path();
-    path_ok_ = true;
-    if (!group_f.empty() && group_f == shape.cfg_f) path_ok_ = false;
-
-    auto node_id = [&](const std::string& name) {
-      const auto [it, inserted] = node_ids_.try_emplace(name, nodes_.size());
-      if (inserted) {
-        nodes_.push_back(name);
-        children_.emplace_back();
-      }
-      return it->second;
-    };
-
-    std::vector<TermPtr> facts;
-    if (path_ok_ && read_facts(db, shape.edge_f, 2, facts)) {
-      for (const TermPtr& f : facts) {
-        if (!atom_args(f, 2)) {
-          path_ok_ = false;
-          break;
-        }
-        const std::size_t from = node_id(f->args[0]->text);
-        const std::size_t to = node_id(f->args[1]->text);
-        children_[from].push_back(to);
-      }
-    } else {
-      path_ok_ = false;
-    }
-
-    // The DP needs an acyclic edge relation (the interpreter would diverge
-    // on a cyclic one anyway; refuse rather than guess).
-    if (path_ok_) {
-      std::vector<char> color(nodes_.size(), 0);  // 0 new, 1 open, 2 done
-      for (std::size_t root = 0; root < nodes_.size() && path_ok_; ++root) {
-        if (color[root] != 0) continue;
-        std::vector<std::pair<std::size_t, std::size_t>> stack{{root, 0}};
-        color[root] = 1;
-        while (!stack.empty() && path_ok_) {
-          auto& [x, next] = stack.back();
-          if (next < children_[x].size()) {
-            const std::size_t c = children_[x][next++];
-            if (color[c] == 1) {
-              path_ok_ = false;  // cycle
-            } else if (color[c] == 0) {
-              color[c] = 1;
-              stack.emplace_back(c, 0);
-            }
-          } else {
-            color[x] = 2;
-            stack.pop_back();
-          }
-        }
-      }
-    }
-
-    // Resolve each node's time source: exactly one (vm, sample) pair may
-    // time a task, or the first-proof value would depend on enumeration
-    // order in ways the DP does not model.
-    if (path_ok_) {
-      std::vector<TermPtr> cfg_facts;
-      std::vector<TermPtr> exe_facts;
-      if (!read_facts(db, shape.cfg_f, 3, cfg_facts) ||
-          !read_facts(db, shape.exe_f, 3, exe_facts)) {
-        path_ok_ = false;
-      }
-      if (path_ok_) {
-        times_.assign(nodes_.size(), std::nullopt);
-        for (std::size_t x = 0; x < nodes_.size() && path_ok_; ++x) {
-          std::size_t candidates = 0;
-          std::optional<TimeSrc> src;
-          for (const TermPtr& cf : cfg_facts) {
-            if (!atom_args(cf, 2)) {
-              path_ok_ = false;
-              break;
-            }
-            if (cf->args[0]->text != nodes_[x] ||
-                !ground_equal(cf->args[2], shape.con_lit)) {
-              continue;
-            }
-            const std::string& vid = cf->args[1]->text;
-            for (const TermPtr& ef : exe_facts) {
-              if (!atom_args(ef, 2)) {
-                path_ok_ = false;
-                break;
-              }
-              if (ef->args[0]->text != nodes_[x] ||
-                  ef->args[1]->text != vid) {
-                continue;
-              }
-              ++candidates;
-              if (numeric(ef->args[2])) {
-                src = TimeSrc{false, ef->args[2]->number(), 0};
-              }
-            }
-            if (group_f == shape.exe_f) {
-              const auto& groups = plan.groups();
-              for (std::size_t g = 0; g < groups.size(); ++g) {
-                if (groups[g].empty() || groups[g][0].task != nodes_[x] ||
-                    groups[g][0].vid != vid) {
-                  continue;
-                }
-                ++candidates;
-                src = TimeSrc{true, 0, g};
-              }
-            }
-          }
-          if (candidates > 1) path_ok_ = false;
-          if (candidates == 1) times_[x] = src;
-        }
-      }
-    }
-
-    if (path_ok_) {
-      const auto it = node_ids_.find(shape.source);
-      if (it != node_ids_.end()) source_id_ = it->second;
+  // Resolve each node's time source: exactly one (vm, sample) pair may
+  // time a task, or the first-proof value would depend on enumeration
+  // order in ways the DP does not model.
+  std::vector<TermPtr> cfg_facts;
+  std::vector<TermPtr> exe_facts;
+  if (!read_facts(db, shape.cfg_f, 3, cfg_facts) ||
+      !read_facts(db, shape.exe_f, 3, exe_facts)) {
+    return;
+  }
+  std::vector<std::vector<const std::string*>> vids(n);  // configured vms
+  bool any_configured = false;
+  if (n > 0) {
+    for (const TermPtr& cf : cfg_facts) {
+      if (!atom_args(cf, 2)) return;
+      if (!ground_equal(cf->args[2], shape.con_lit)) continue;
+      const auto it = node_ids.find(cf->args[0]->text);
+      if (it == node_ids.end()) continue;
+      vids[it->second].push_back(&cf->args[1]->text);
+      any_configured = true;
     }
   }
+  std::unordered_map<std::string, std::vector<const Term*>> exe_by_task;
+  if (any_configured) {
+    for (const TermPtr& ef : exe_facts) {
+      if (!atom_args(ef, 2)) return;
+      exe_by_task[ef->args[0]->text].push_back(ef.get());
+    }
+  }
+  const auto& groups = plan_->groups();
+  const bool layered = group_f == shape.exe_f;
+  times_.assign(n, std::nullopt);
+  for (std::size_t x = 0; x < n; ++x) {
+    std::size_t candidates = 0;
+    std::optional<TimeSrc> src;
+    const auto exe_it = exe_by_task.find(nodes[x]);
+    for (const std::string* vid : vids[x]) {
+      if (exe_it != exe_by_task.end()) {
+        for (const Term* ef : exe_it->second) {
+          if (ef->args[1]->text != *vid) continue;
+          ++candidates;
+          if (numeric(ef->args[2])) {
+            src = TimeSrc{false, ef->args[2]->number(), 0};
+          }
+        }
+      }
+      if (layered) {
+        for (const std::size_t g : plan_->groups_of(nodes[x])) {
+          if (groups[g][0].vid != *vid) continue;
+          ++candidates;
+          src = TimeSrc{true, 0, g};
+        }
+      }
+    }
+    if (candidates > 1) return;
+    if (candidates == 1) times_[x] = src;
+  }
+  path_reads_.assign(groups.size(), 0);
+  for (const std::optional<TimeSrc>& src : times_) {
+    if (src && src->from_group) path_reads_[src->group] = 1;
+  }
+
+  is_target_.assign(n, 0);
+  for (std::size_t x = 0; x < n; ++x) {
+    is_target_[x] = nodes[x] == shape.target ? 1 : 0;
+  }
+  child_begin_.assign(n + 1, 0);
+  for (std::size_t x = 0; x < n; ++x) {
+    child_begin_[x + 1] = child_begin_[x] + children[x].size();
+    children_.insert(children_.end(), children[x].begin(), children[x].end());
+  }
+
+  // Post-order from the source, never entering the target: every node is
+  // placed after all of its non-target children.
+  const auto src_it = node_ids.find(shape.source);
+  if (src_it != node_ids.end()) {
+    source_id_ = src_it->second;
+    std::vector<char> state(n, 0);  // 0 new, 1 expanded, 2 placed
+    std::vector<std::size_t> stack{*source_id_};
+    while (!stack.empty()) {
+      const std::size_t x = stack.back();
+      if (state[x] == 0) {
+        state[x] = 1;
+        for (const std::size_t c : children[x]) {
+          if (is_target_[c] == 0 && state[c] == 0) stack.push_back(c);
+        }
+        continue;
+      }
+      stack.pop_back();
+      if (state[x] == 2) continue;
+      state[x] = 2;
+      order_.push_back(x);
+    }
+  }
+  path_ok_ = true;
 }
 
 bool SegmentState::can_answer(const wlog::TermPtr& query,
@@ -582,122 +647,96 @@ bool SegmentState::can_answer(const wlog::TermPtr& query,
   return false;
 }
 
-bool SegmentState::eval_world(const wlog::TermPtr& query,
-                              const std::vector<std::size_t>& chosen,
-                              double& out) const {
-  if (plan_->sum() && query->text == plan_->sum()->functor) {
-    return eval_sum(chosen, out);
-  }
-  return eval_path(chosen, out);
-}
-
-bool SegmentState::eval_sum(const std::vector<std::size_t>& chosen,
-                            double& out) const {
-  // The interpreter enumerates cost/3 solutions as price x exetime x configs
-  // in clause order, with the world's sampled facts appended after the
-  // static ones; the += order below reproduces that enumeration, so the
-  // accumulated double is bit-identical.
+double SegmentState::eval_sum(const std::vector<std::size_t>& chosen) const {
   const auto& groups = plan_->groups();
-  const bool layered = plan_->group_functor() == plan_->sum()->exe_f;
   double acc = 0;
-  auto add_exe = [&](const PriceFact& p, const SegmentAlt& e) {
-    if (e.vid != p.vid) return;
-    for (const CfgFact& c : cfgs_) {
-      if (c.task != e.task || c.vid != e.vid) continue;
-      if (!numeric(p.up) || !numeric(e.value) || !numeric(c.con)) continue;
-      // Matches the clause's right-associated `T*(Up*Con)` exactly.
-      acc += e.value->number() * (p.up->number() * c.con->number());
+  for (const SumTerm& term : sum_terms_) {
+    double v = term.value;
+    if (term.group != kStatic) {
+      const std::optional<double>& alt =
+          groups[term.group][chosen[term.group]].number;
+      if (!alt) continue;
+      v = *alt;
     }
-  };
-  for (const PriceFact& p : prices_) {
-    for (const SegmentAlt& e : exe_static_) add_exe(p, e);
-    if (layered) {
-      for (std::size_t g = 0; g < groups.size(); ++g) {
-        if (!groups[g].empty()) add_exe(p, groups[g][chosen[g]]);
-      }
-    }
+    // Matches the clause's right-associated `T*(Up*Con)` exactly.
+    acc += v * term.factor;
   }
-  out = acc;
-  return true;  // findall + sum always succeed (empty bag sums to 0)
+  return acc;  // findall + sum always succeed (empty bag sums to 0)
 }
 
-bool SegmentState::eval_path(const std::vector<std::size_t>& chosen,
-                             double& out) const {
-  if (!source_id_) return false;
-  const std::string& target = plan_->path()->target;
+std::optional<double> SegmentState::eval_path(
+    const std::vector<std::size_t>& chosen,
+    std::vector<std::optional<double>>& dp) const {
+  if (!source_id_) return std::nullopt;
   const auto& groups = plan_->groups();
-
-  auto world_time = [&](std::size_t x) -> std::optional<double> {
-    const std::optional<TimeSrc>& src = times_[x];
-    if (!src) return std::nullopt;
-    if (!src->from_group) return src->value;
-    const SegmentAlt& alt = groups[src->group][chosen[src->group]];
-    if (!numeric(alt.value)) return std::nullopt;
-    return alt.value->number();
-  };
-
   // Longest source->target distance.  IEEE addition is monotone, so taking
   // the max over children before adding this node's time yields exactly the
   // per-path right-associated sums the interpreter computes.
-  std::vector<std::optional<double>> dp(nodes_.size());
-  std::vector<char> state(nodes_.size(), 0);  // 0 new, 1 expanded, 2 done
-  std::vector<std::size_t> stack{*source_id_};
-  while (!stack.empty()) {
-    const std::size_t x = stack.back();
-    if (state[x] == 0) {
-      state[x] = 1;
-      for (const std::size_t c : children_[x]) {
-        if (nodes_[c] != target && state[c] == 0) stack.push_back(c);
-      }
-      continue;
+  for (const std::size_t x : order_) {
+    std::optional<double>& out = dp[x];
+    out.reset();  // undefined unless this world times x and a child path
+    const std::optional<TimeSrc>& src = times_[x];
+    if (!src) continue;
+    double t = src->value;
+    if (src->from_group) {
+      const std::optional<double>& alt =
+          groups[src->group][chosen[src->group]].number;
+      if (!alt) continue;
+      t = *alt;
     }
-    stack.pop_back();
-    if (state[x] == 2) continue;
-    state[x] = 2;
-    const std::optional<double> t = world_time(x);
-    if (!t) continue;  // dp[x] stays undefined
     bool has = false;
     double best = 0;
-    for (const std::size_t c : children_[x]) {
-      double cand = 0;
-      if (nodes_[c] == target) {
-        cand = 0;  // direct edge: the base clause contributes time(x)
-      } else if (dp[c]) {
+    for (std::size_t i = child_begin_[x]; i < child_begin_[x + 1]; ++i) {
+      const std::size_t c = children_[i];
+      double cand = 0;  // direct edge: the base clause contributes time(x)
+      if (is_target_[c] == 0) {
+        if (!dp[c]) continue;
         cand = *dp[c];
-      } else {
-        continue;
       }
       if (!has || cand > best) {
         has = true;
         best = cand;
       }
     }
-    if (has) dp[x] = *t + best;
+    if (has) out = t + best;
   }
-  if (!dp[*source_id_]) return false;
-  out = *dp[*source_id_];
-  return true;
+  return dp[*source_id_];
+}
+
+template <typename PerWorld>
+void SegmentState::for_each_world(const wlog::TermPtr& query, util::Rng& rng,
+                                  const wlog::McOptions& options,
+                                  PerWorld&& per_world) const {
+  const auto& groups = plan_->groups();
+  std::vector<std::size_t> chosen(groups.size(), 0);
+  const bool sum = plan_->sum() && query->text == plan_->sum()->functor;
+  const std::vector<char>& reads = sum ? sum_reads_ : path_reads_;
+  std::vector<std::optional<double>> dp(sum ? 0 : times_.size());
+  for (std::size_t i = 0; i < options.max_iterations; ++i) {
+    if (options.budget != nullptr) options.budget->checkpoint();
+    // Every non-empty group draws its uniform, as in the engine's worlds;
+    // only the groups this query reads resolve it to an alternative.
+    for (std::size_t g = 0; g < groups.size(); ++g) {
+      if (groups[g].empty()) continue;
+      const double u = rng.uniform();
+      if (reads[g] != 0) {
+        chosen[g] = wlog::pick_alternative(plan_->prob_group(g), u);
+      }
+    }
+    per_world(sum ? std::optional<double>(eval_sum(chosen))
+                  : eval_path(chosen, dp));
+  }
+  DECO_OBS_COUNTER_ADD("wlog.vm.segment_worlds", options.max_iterations);
 }
 
 std::vector<double> SegmentState::sample_values(
     const wlog::TermPtr& query, const wlog::TermPtr& variable, util::Rng& rng,
     const wlog::McOptions& options) const {
-  const auto& groups = plan_->groups();
-  std::vector<std::size_t> chosen(groups.size(), 0);
   std::vector<double> values;
   values.reserve(options.max_iterations);
-  for (std::size_t i = 0; i < options.max_iterations; ++i) {
-    if (options.budget != nullptr) options.budget->checkpoint();
-    for (std::size_t g = 0; g < groups.size(); ++g) {
-      if (groups[g].empty()) continue;
-      chosen[g] = wlog::pick_alternative(plan_->prob_group(g), rng.uniform());
-    }
-    double value = 0;
-    if (eval_world(query, chosen, value)) {
-      values.push_back(variable != nullptr ? value : 0);
-    }
-  }
-  DECO_OBS_COUNTER_ADD("wlog.vm.segment_worlds", options.max_iterations);
+  for_each_world(query, rng, options, [&](std::optional<double> value) {
+    if (value) values.push_back(variable != nullptr ? *value : 0);
+  });
   return values;
 }
 
@@ -705,29 +744,19 @@ wlog::McResult SegmentState::eval_goal(const wlog::TermPtr& query,
                                        const wlog::TermPtr& variable,
                                        util::Rng& rng,
                                        const wlog::McOptions& options) const {
-  const auto& groups = plan_->groups();
-  std::vector<std::size_t> chosen(groups.size(), 0);
   wlog::McResult result;
   result.iterations = options.max_iterations;
   double sum = 0;
   std::size_t proven = 0;
-  for (std::size_t i = 0; i < options.max_iterations; ++i) {
-    if (options.budget != nullptr) options.budget->checkpoint();
-    for (std::size_t g = 0; g < groups.size(); ++g) {
-      if (groups[g].empty()) continue;
-      chosen[g] = wlog::pick_alternative(plan_->prob_group(g), rng.uniform());
-    }
-    double value = 0;
-    if (eval_world(query, chosen, value)) {
-      ++proven;
-      sum += variable != nullptr ? value : 0;
-    }
-  }
+  for_each_world(query, rng, options, [&](std::optional<double> value) {
+    if (!value) return;
+    ++proven;
+    sum += variable != nullptr ? *value : 0;
+  });
   result.probability =
       static_cast<double>(proven) /
       static_cast<double>(std::max<std::size_t>(1, options.max_iterations));
   result.value = proven > 0 ? sum / static_cast<double>(proven) : 0;
-  DECO_OBS_COUNTER_ADD("wlog.vm.segment_worlds", options.max_iterations);
   return result;
 }
 

@@ -11,9 +11,11 @@
 //   sum shape      f(Ct) :- findall(C, g(Tid,Vid,C), Bag), sum(Bag, Ct).
 //                  g(Tid,Vid,C) :- price(Vid,Up), exetime(Tid,Vid,T),
 //                                  configs(Tid,Vid,Con), C is T*Up*Con.
-//     -> a triple-nested join over the price/exetime/configs fact tables,
-//        accumulated in the interpreter's exact enumeration order (so the
-//        floating-point sum is bit-identical);
+//     -> the price x exetime x configs join, resolved once per state into a
+//        flat list of terms (a static time or one group's sampled time,
+//        times the Up*Con factor) in the interpreter's enumeration order,
+//        so a world only reads the values it chose and the floating-point
+//        sum is bit-identical;
 //
 //   path shape     f(P,T) :- setof([Z,T1], path(src,dst,Z,T1), S),
 //                            max(S, [P,T]).
@@ -22,9 +24,10 @@
 //                  path(X,Y,Z,Tp) :- edge(X,Z), Z \== Y, path(Z,Y,Z2,T1),
 //                                    exetime(X,V,T), configs(X,V,C),
 //                                    C == 1, Tp is T + T1.
-//     -> a longest-path DP over the (acyclic) edge relation; IEEE addition
-//        is monotone, so max-then-add equals the interpreter's per-path
-//        add-then-max exactly.
+//     -> a longest-path DP over the (acyclic) edge relation, one pass per
+//        world over a reverse-topological node order fixed per state; IEEE
+//        addition is monotone, so max-then-add equals the interpreter's
+//        per-path add-then-max exactly.
 //
 // Recognition is *structural* (variable-bijection matching against the
 // clause bodies), with conservative guards: the fact predicates must be
@@ -52,7 +55,7 @@ namespace deco::core {
 struct SegmentAlt {
   std::string task;
   std::string vid;
-  wlog::TermPtr value;  ///< third argument (usually a number)
+  std::optional<double> number;  ///< third argument, when it is numeric
 };
 
 /// Recognized `findall ... sum` reduce query (totalcost-style).
@@ -100,6 +103,8 @@ class SegmentPlan {
   }
   /// Functor shared by every group fact ("" when there are no groups).
   const std::string& group_functor() const { return group_functor_; }
+  /// Indices of the non-empty groups keyed by `task`, ascending.
+  const std::vector<std::size_t>& groups_of(const std::string& task) const;
 
  private:
   std::optional<SumShape> sum_;
@@ -107,12 +112,16 @@ class SegmentPlan {
   std::vector<std::vector<SegmentAlt>> groups_;
   std::vector<wlog::ProbGroup> prob_groups_;
   std::string group_functor_;
+  std::unordered_map<std::string, std::vector<std::size_t>> groups_by_task_;
 };
 
-/// Per-state fact tables extracted from a bound IR, plus the per-world
-/// evaluators.  Construction re-checks the guards against the state's facts
-/// (the solver asserts decision facts per state); a failed guard marks the
-/// affected shape unavailable and the caller falls back to the MC engine.
+/// Per-state evaluators compiled from a bound IR's fact tables.
+/// Construction re-checks the guards against the state's facts (the solver
+/// asserts decision facts per state) and resolves everything that does not
+/// depend on the sampled world: the sum join becomes a flat term list and
+/// the path DP a fixed node order, so a world costs one pass over each.  A
+/// failed guard marks the affected shape unavailable and the caller falls
+/// back to the MC engine.
 class SegmentState {
  public:
   SegmentState(const SegmentPlan& plan, const wlog::ProbProgram& bound);
@@ -123,7 +132,8 @@ class SegmentState {
                   const wlog::TermPtr& variable) const;
 
   /// Mirrors wlog::mc_sample_values, including RNG and budget-checkpoint
-  /// behaviour; `variable` may be null (values are then all 0).
+  /// behaviour; `variable` may be null (values are then all 0).  This and
+  /// eval_goal require can_answer(query, variable).
   std::vector<double> sample_values(const wlog::TermPtr& query,
                                     const wlog::TermPtr& variable,
                                     util::Rng& rng,
@@ -135,14 +145,14 @@ class SegmentState {
                            const wlog::McOptions& options) const;
 
  private:
-  struct PriceFact {
-    std::string vid;
-    wlog::TermPtr up;
-  };
-  struct CfgFact {
-    std::string task;
-    std::string vid;
-    wlog::TermPtr con;
+  static constexpr std::size_t kStatic = static_cast<std::size_t>(-1);
+
+  /// One solution of the sum join: a static time (group == kStatic) or the
+  /// world's alternative of `group`, multiplied by the clause's Up*Con.
+  struct SumTerm {
+    std::size_t group = kStatic;
+    double value = 0;   ///< static time (when group == kStatic)
+    double factor = 0;  ///< Up*Con, multiplied as the clause's T*(Up*Con)
   };
   /// How a task's time is produced in the path DP: a static fact or the
   /// world-dependent alternative of one group.
@@ -152,27 +162,38 @@ class SegmentState {
     std::size_t group = 0;    ///< group index (when from_group)
   };
 
-  /// One world's value for a recognized query; false when the query fails
-  /// in that world (e.g. no feasible path).
-  bool eval_world(const wlog::TermPtr& query,
-                  const std::vector<std::size_t>& chosen, double& out) const;
-  bool eval_sum(const std::vector<std::size_t>& chosen, double& out) const;
-  bool eval_path(const std::vector<std::size_t>& chosen, double& out) const;
+  /// Runs `per_world` once per sampled world (RNG and budget checkpoints as
+  /// in the MC engine) with that world's value of `query`, or nullopt when
+  /// the query fails there (e.g. no feasible path).
+  template <typename PerWorld>
+  void for_each_world(const wlog::TermPtr& query, util::Rng& rng,
+                      const wlog::McOptions& options,
+                      PerWorld&& per_world) const;
+  double eval_sum(const std::vector<std::size_t>& chosen) const;
+  std::optional<double> eval_path(
+      const std::vector<std::size_t>& chosen,
+      std::vector<std::optional<double>>& dp) const;
+  void build_sum(const wlog::Database& db);
+  void build_path(const wlog::Database& db);
 
   const SegmentPlan* plan_;
   bool sum_ok_ = false;
   bool path_ok_ = false;
 
-  // Sum-shape tables (interpreter enumeration order preserved).
-  std::vector<PriceFact> prices_;
-  std::vector<SegmentAlt> exe_static_;
-  std::vector<CfgFact> cfgs_;
+  // Sum shape: the join's solutions in interpreter enumeration order.
+  std::vector<SumTerm> sum_terms_;
+  std::vector<char> sum_reads_;  ///< per group: read by some sum term
 
-  // Path-shape tables.
-  std::vector<std::string> nodes_;  ///< first-appearance order
-  std::unordered_map<std::string, std::size_t> node_ids_;
-  std::vector<std::vector<std::size_t>> children_;
+  // Path shape, per node id (edge-fact first-appearance order): children
+  // in CSR form, target flags and time sources.
+  std::vector<std::size_t> child_begin_;  ///< size node count + 1
+  std::vector<std::size_t> children_;
+  std::vector<char> is_target_;
   std::vector<std::optional<TimeSrc>> times_;
+  std::vector<char> path_reads_;  ///< per group: times some node
+  /// Nodes reachable from the source without passing the target, children
+  /// before parents; empty when the source is not a node.
+  std::vector<std::size_t> order_;
   std::optional<std::size_t> source_id_;
 };
 

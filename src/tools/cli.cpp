@@ -492,9 +492,18 @@ int cmd_solve(const CliArgs& args, std::ostream& out) {
       << ", feasible " << (result.feasible ? "yes" : "no") << ", "
       << result.stats.states_evaluated << " states in "
       << util::Table::num(result.stats.elapsed_ms, 0) << " ms\n";
-  for (workflow::TaskId t = 0; t < wf->task_count(); ++t) {
-    out << "  " << wf->task(t).name << " -> "
-        << cloud.catalog.type(result.plan[t].vm_type).name << "\n";
+  if (result.plan.size() == wf->task_count()) {
+    for (workflow::TaskId t = 0; t < wf->task_count(); ++t) {
+      out << "  " << wf->task(t).name << " -> "
+          << cloud.catalog.type(result.plan[t].vm_type).name << "\n";
+    }
+  } else {
+    // Not a task -> instance-type program: report the generic assignment.
+    for (std::size_t e = 0; e < result.entities.size(); ++e) {
+      out << "  " << result.entities[e] << " -> "
+          << result.choices[static_cast<std::size_t>(result.assignment[e])]
+          << "\n";
+    }
   }
   if (tracker && tracker->exhausted()) {
     report_budget_cut(*tracker, out);

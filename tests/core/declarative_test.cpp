@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "core/deco.hpp"
 #include "tests/core/test_fixtures.hpp"
 
@@ -115,6 +118,166 @@ TEST(DeclarativeSolverTest, ThreeGeneratorsRejected) {
   )";
   const auto r = solve_text(text);
   EXPECT_FALSE(r.ok);
+}
+
+TEST(DeclarativeSolverTest, OversizedGeneratorIsErrorNotTruncation) {
+  // More than 4096 solutions used to be cut off silently, so the search ran
+  // over a truncated entity or choice set.
+  std::string items;
+  for (int i = 0; i <= 4096; ++i) items += "item(i" + std::to_string(i) + "). ";
+  const std::string entities = items + R"(
+    goal maximize V in v(V).
+    var take(I, F) forall item(I).
+    v(0).
+  )";
+  const auto r = solve_text(entities.c_str());
+  EXPECT_FALSE(r.ok);
+  EXPECT_NE(r.error.find("first generator has more than 4096 solutions"),
+            std::string::npos)
+      << r.error;
+
+  const std::string choices = items + R"(
+    job(j).
+    goal maximize V in v(V).
+    var assign(J, I, F) forall job(J) and item(I).
+    v(0).
+  )";
+  const auto c = solve_text(choices.c_str(), 4);
+  EXPECT_FALSE(c.ok);
+  EXPECT_NE(c.error.find("second generator has more than 4096 solutions"),
+            std::string::npos)
+      << c.error;
+
+  // Exactly the cap is still accepted.
+  std::string capped;
+  for (int i = 0; i < 4096; ++i) capped += "item(i" + std::to_string(i) + "). ";
+  capped += R"(
+    job(j).
+    goal maximize V in v(V).
+    var assign(J, I, F) forall job(J) and item(I).
+    v(0).
+  )";
+  const auto ok = solve_text(capped.c_str(), 4);
+  ASSERT_TRUE(ok.ok) << ok.error;
+  EXPECT_EQ(ok.choices.size(), 4096u);
+}
+
+// A* f-scores run over the modal world with the state's decision facts
+// layered per call.  When the decision facts share the group facts'
+// predicate, clause order inside that predicate decides what the scores
+// see: the decision facts must come first, then the modal alternatives, as
+// in a modal world built from the state's bound IR.
+TEST(DeclarativeSolverTest, AstarScoresSeeDecisionFactsBeforeSharedModalFacts) {
+  const char* text = R"(
+    item(a). item(b).
+    weight(a, 1). weight(b, 2). weight(z, 0).
+    goal minimize C in total(C).
+    cons some_taken.
+    var on(I, Flag) forall item(I).
+    enabled(astar).
+    cal_g_score(G) :- on(I, 1), weight(I, G).
+    est_h_score(0).
+    some_taken :- on(a, 1).
+    some_taken :- on(b, 1).
+    total(C) :- findall(W, (on(I, 1), weight(I, W)), L), sum(L, C).
+  )";
+  const auto parsed = wlog::parse_program(text);
+  ASSERT_TRUE(parsed.ok()) << (parsed.error ? parsed.error->message : "");
+  wlog::ProbProgram ir = wlog::translate_rules(parsed.program);
+  // z is not a decision entity: its on/2 fact is probabilistic, modal on.
+  wlog::ProbGroup group;
+  group.probs = {0.8, 0.2};
+  group.facts = {
+      wlog::make_compound("on", {wlog::make_atom("z"), wlog::make_int(1)}),
+      wlog::make_compound("on", {wlog::make_atom("z"), wlog::make_int(0)})};
+  ir.add_group(std::move(group));
+
+  DeclarativeOptions opt;
+  opt.mc_iterations = 8;
+  opt.batch_size = 1;
+  for (const wlog::ExecMode exec : {wlog::ExecMode::kVm,
+                                    wlog::ExecMode::kInterp}) {
+    opt.exec = exec;
+    const DeclarativeResult r = DeclarativeSolver(opt).solve(parsed.program,
+                                                             ir);
+    ASSERT_TRUE(r.ok) << r.error;
+    // g(a taken) = 1 and g(b taken) = 2 come from the decision facts; had
+    // the modal on(z, 1) come first, every g would read weight(z) = 0 and
+    // nothing would be pruned (four states evaluated instead of two).
+    EXPECT_EQ(r.assignment, (std::vector<int>{1, 0}));
+    EXPECT_DOUBLE_EQ(r.goal_value, 1.0);
+    EXPECT_EQ(r.stats.states_evaluated, 2u);
+    EXPECT_EQ(r.stats.states_pruned, 2u);
+  }
+}
+
+constexpr const char* kAstarKnapsack = R"(
+  item(a). item(b). item(c).
+  value(a, 10). value(b, 6). value(c, 5).
+  weight(a, 8). weight(b, 5). weight(c, 4).
+  goal maximize V in totalvalue(V).
+  cons W in totalweight(W) satisfies W =< 9.
+  var take(I, Flag) forall item(I).
+  enabled(astar).
+  cal_g_score(G) :- totalvalue(G).
+  est_h_score(H) :- findall(X, (take(I,0), value(I,X)), Bag), sum(Bag, H).
+  totalvalue(V) :- findall(X, (take(I,1), value(I,X)), Bag), sum(Bag, V).
+  totalweight(W) :- findall(X, (take(I,1), weight(I,X)), Bag), sum(Bag, W).
+)";
+
+TEST(DeclarativeSolverTest, PipelinedAstarSolveIsRepeatable) {
+  // The search overlaps each wave's evaluation with f-scoring its
+  // children, so the scorer's database and solver work beside the
+  // evaluation's own IR copy; repeated solves must agree exactly.
+  const auto first = solve_text(kAstarKnapsack);
+  ASSERT_TRUE(first.ok) << first.error;
+  EXPECT_DOUBLE_EQ(first.goal_value, 11.0);
+  EXPECT_EQ(first.assignment, (std::vector<int>{0, 1, 1}));
+  for (int i = 0; i < 3; ++i) {
+    const auto again = solve_text(kAstarKnapsack);
+    EXPECT_EQ(again.assignment, first.assignment);
+    EXPECT_EQ(again.goal_value, first.goal_value);
+    EXPECT_EQ(again.stats.states_evaluated, first.stats.states_evaluated);
+    EXPECT_EQ(again.stats.states_pruned, first.stats.states_pruned);
+  }
+}
+
+TEST(DeclarativeSolverTest, BudgetCutDuringScoringKeepsIncumbent) {
+  // States with two or more items spin in est_h_score until the wall-clock
+  // budget fires inside the scoring query; the solve must come back as an
+  // anytime result with the incumbent of the waves already committed.
+  const char* text = R"(
+    item(a). item(b). item(c).
+    value(a, 10). value(b, 6). value(c, 5).
+    goal maximize V in totalvalue(V).
+    var take(I, Flag) forall item(I).
+    enabled(astar).
+    cal_g_score(100).
+    est_h_score(0) :- findall(F, take(I, F), L), sum(L, S), S < 2.
+    est_h_score(0) :- spin.
+    spin :- spin.
+    totalvalue(V) :- findall(X, (take(I,1), value(I,X)), Bag), sum(Bag, V).
+  )";
+  const auto parsed = wlog::parse_program(text);
+  ASSERT_TRUE(parsed.ok()) << (parsed.error ? parsed.error->message : "");
+  const wlog::ProbProgram ir = wlog::translate_rules(parsed.program);
+  util::SolveBudget spec;
+  spec.wall_ms = 100;
+  util::BudgetTracker tracker(spec);
+  DeclarativeOptions opt;
+  opt.mc_iterations = 8;
+  opt.budget = &tracker;
+  DeclarativeResult r;
+  ASSERT_NO_THROW(r = DeclarativeSolver(opt).solve(parsed.program, ir));
+  EXPECT_TRUE(r.budget.budget_exhausted);
+  EXPECT_EQ(r.budget.trigger, util::BudgetTrigger::kWallClock);
+  ASSERT_TRUE(r.ok) << r.error;
+  EXPECT_TRUE(r.feasible);
+  EXPECT_GE(r.stats.states_evaluated, 1u);
+  // Only states with fewer than two items are ever scored to completion.
+  int taken = 0;
+  for (const int a : r.assignment) taken += a;
+  EXPECT_LT(taken, 2);
 }
 
 // --- the WLog ensemble path through the engine -----------------------------

@@ -236,19 +236,11 @@ TEST(WlogSegmentsTest, AmbiguousTimeSourceFallsBack) {
                        parsed.program.goal->variable));
 }
 
-TEST(WlogSegmentsTest, DecoSolveMatchesInterpreterOracleExactly) {
-  // End to end: default engine (vm + segments) must reproduce the pre-VM
-  // pipeline (interpreter, no segments) exactly — same plan, same goal.
+/// The default engine (vm + segments) and the pre-VM pipeline (interpreter,
+/// no segments) on the same program: same plan, same goal, same search.
+void expect_engines_agree(const std::string& program) {
   util::Rng rng(3);
   const auto wf = workflow::make_pipeline(3, rng);
-  const std::string program = R"(
-    import(amazonec2).
-    import(workflow).
-    goal minimize Ct in totalcost(Ct).
-    cons T in maxtime(Path,T) satisfies deadline(99%, 1000h).
-    var configs(Tid,Vid,Con) forall task(Tid) and vm(Vid).
-  )" + canonical_rules();
-
   DecoOptions oracle_opt;
   oracle_opt.backend = "serial";
   oracle_opt.wlog_max_states = 48;
@@ -269,6 +261,29 @@ TEST(WlogSegmentsTest, DecoSolveMatchesInterpreterOracleExactly) {
   EXPECT_EQ(oracle.goal_value, fast.goal_value);
   EXPECT_EQ(oracle.feasible, fast.feasible);
   EXPECT_EQ(oracle.stats.states_evaluated, fast.stats.states_evaluated);
+  EXPECT_EQ(oracle.stats.states_pruned, fast.stats.states_pruned);
+}
+
+const char* kSchedulingHeader = R"(
+    import(amazonec2).
+    import(workflow).
+    goal minimize Ct in totalcost(Ct).
+    cons T in maxtime(Path,T) satisfies deadline(99%, 1000h).
+    var configs(Tid,Vid,Con) forall task(Tid) and vm(Vid).
+  )";
+
+TEST(WlogSegmentsTest, DecoSolveMatchesInterpreterOracleExactly) {
+  expect_engines_agree(kSchedulingHeader + canonical_rules());
+}
+
+TEST(WlogSegmentsTest, DecoAstarSolveMatchesInterpreterOracleExactly) {
+  // The A* program's f-scores run in the engine on the modal world (one
+  // scorer per solve) while the evaluation runs through the segments.
+  expect_engines_agree(std::string(kSchedulingHeader) + R"(
+    enabled(astar).
+    cal_g_score(C) :- totalcost(C).
+    est_h_score(0).
+  )" + canonical_rules());
 }
 
 }  // namespace

@@ -287,15 +287,16 @@ TEST(CliRunTest, SolveMissingProgramFails) {
 }
 
 // Engine flags are validated like --estimator: an unknown value must not
-// silently fall back to the default engine.
-int solve_with_flag(const std::string& flag, const std::string& value,
-                    std::ostringstream& out) {
-  const std::string dax = temp_path("cli_solve_flag.dax");
+// silently fall back to the default engine.  Each caller passes its own
+// file stem: ctest runs the tests as separate, concurrent processes.
+int solve_with_flag(const std::string& stem, const std::string& flag,
+                    const std::string& value, std::ostringstream& out) {
+  const std::string dax = temp_path(stem + ".dax");
   std::ostringstream gen;
   run_cli(parse({"generate", "--app", "pipeline", "--tasks", "2", "--out",
                  dax}),
           gen);
-  const std::string program = temp_path("cli_solve_flag.wlog");
+  const std::string program = temp_path(stem + ".wlog");
   std::ofstream(program) << "goal minimize Ct in totalcost(Ct).\n";
   return run_cli(parse({"solve", "--dax", dax, "--program", program, flag,
                         value}),
@@ -304,7 +305,8 @@ int solve_with_flag(const std::string& flag, const std::string& value,
 
 TEST(CliRunTest, SolveUnknownWlogExecIsInputError) {
   std::ostringstream out;
-  EXPECT_EQ(solve_with_flag("--wlog-exec", "interpreter", out),
+  EXPECT_EQ(solve_with_flag("cli_solve_exec_flag", "--wlog-exec",
+                            "interpreter", out),
             kExitInputError);
   EXPECT_NE(out.str().find("error: unknown --wlog-exec 'interpreter' "
                            "(expected vm|interp)"),
@@ -314,11 +316,38 @@ TEST(CliRunTest, SolveUnknownWlogExecIsInputError) {
 
 TEST(CliRunTest, SolveUnknownWlogSegmentsIsInputError) {
   std::ostringstream out;
-  EXPECT_EQ(solve_with_flag("--wlog-segments", "nope", out), kExitInputError);
+  EXPECT_EQ(solve_with_flag("cli_solve_segments_flag", "--wlog-segments",
+                            "nope", out),
+            kExitInputError);
   EXPECT_NE(out.str().find("error: unknown --wlog-segments 'nope' "
                            "(expected on|off)"),
             std::string::npos)
       << out.str();
+}
+
+TEST(CliRunTest, SolveNonSchedulingProgramPrintsAssignment) {
+  // A var declaration that is not task x instance-type shaped has no
+  // provisioning plan; the command reports the entity -> choice assignment
+  // instead of reading plan entries that do not exist.
+  const std::string dax = temp_path("cli_solve_pick.dax");
+  std::ostringstream gen;
+  ASSERT_EQ(run_cli(parse({"generate", "--app", "montage", "--tasks", "6",
+                           "--out", dax}),
+                    gen),
+            0);
+  const std::string program = temp_path("cli_solve_pick.wlog");
+  std::ofstream(program) << "goal minimize C in picked(C).\n"
+                            "var pick(Tid,S) forall task(Tid).\n"
+                            "picked(C) :- findall(S, pick(_,S), B), "
+                            "sum(B, C).\n";
+  std::ostringstream out;
+  EXPECT_EQ(run_cli(parse({"solve", "--dax", dax, "--program", program}), out),
+            0)
+      << out.str();
+  EXPECT_NE(out.str().find("solved: goal value 0"), std::string::npos)
+      << out.str();
+  EXPECT_NE(out.str().find("  task("), std::string::npos) << out.str();
+  EXPECT_NE(out.str().find(") -> 0\n"), std::string::npos) << out.str();
 }
 
 TEST(CliRunTest, InfoSummarizesWorkflow) {
