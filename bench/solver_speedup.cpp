@@ -8,8 +8,8 @@
 // ensembles; optimization overhead of 4.3-63.17 ms per task.  This host has
 // no GPU (and may have a single core), so the *absolute* speed-up is
 // hardware-bound — the bench sweeps worker counts (1/2/4/hw) over the
-// identical kernel decomposition and records the measured ratio, the
-// evaluation-stall time of the pipelined driver, and the per-task overhead.
+// identical kernel decomposition and records the measured ratio, the search
+// driver's time inside batch evaluation, and the per-task overhead.
 // The hw_threads field in the JSON says what parallelism the host could
 // actually express.
 //
@@ -334,8 +334,8 @@ int main(int argc, char** argv) {
       "Search-driven solver throughput: serial baseline vs work-stealing "
       "vgpu backend at 1/2/4/hw workers (billed-hours model, 1000 MC "
       "iterations, 96-state budget), each under the full-MC estimator and "
-      "the tiered analytic/QMC hierarchy, with pipelined-driver stall time "
-      "and per-task optimization overhead.");
+      "the tiered analytic/QMC hierarchy, with the search's time inside "
+      "batch evaluation and per-task optimization overhead.");
 
   util::Rng rng(2015);
   std::vector<workflow::Workflow> workflows;

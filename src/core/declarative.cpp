@@ -210,8 +210,8 @@ DeclarativeResult DeclarativeSolver::solve(const wlog::Program& program,
                                    ? SegmentPlan::translate(ir, program)
                                    : SegmentPlan{};
 
-  // The evaluation's own copy of the IR; evaluate runs on the pipelined
-  // evaluation thread, so nothing here is shared with the f-scoring below.
+  // The evaluation's own copy of the IR, which the f-scoring below does not
+  // touch.
   wlog::ProbProgram bound = ir;
   auto evaluate_state = [&](const std::vector<int>& assignment) -> Scored {
     const FactLayer layer(bound.base());
@@ -317,9 +317,8 @@ DeclarativeResult DeclarativeSolver::solve(const wlog::Program& program,
   const std::vector<int> initial(n, 0);
   SearchResult<std::vector<int>> found;
   if (program.astar_enabled) {
-    // f-scores run on the driver thread, beside the evaluation, over their
-    // own database: the modal world, with the state's decision facts layered
-    // per call.  One solver serves the whole search, so its compiled-clause
+    // f-scores run over their own database: the modal world, with the
+    // state's decision facts layered per call.  One solver serves the whole search, so its compiled-clause
     // cache stays warm and only the decision predicate recompiles.  Clause
     // order matters only within a predicate; when the decision facts share
     // the group facts' predicate, the modal facts are layered after them on

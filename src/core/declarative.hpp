@@ -25,11 +25,10 @@
 // instantiated once per solve, one per (entity, choice).  The evaluation
 // keeps one copy of the IR and layers a state's facts onto it for the
 // state's evaluation (Database::mark / undo_to), never copying the program
-// per state.  A* scores run on the search driver's thread beside the
-// evaluation, over their own modal-world database and one wlog::Solver per
-// solve, with the facts layered the same way per call, so the solver's
-// compiled clauses stay warm.  A generator with more than 4096 solutions is
-// an error, not a truncated search space.
+// per state.  A* scores run over their own modal-world database and one
+// wlog::Solver per solve, with the facts layered the same way per call, so
+// the solver's compiled clauses stay warm.  A generator with more than 4096
+// solutions is an error, not a truncated search space.
 #pragma once
 
 #include <string>

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <mutex>
 
 #include "cloud/calibration.hpp"
 #include "obs/obs.hpp"
@@ -70,14 +69,6 @@ TaskTimeEstimator::~TaskTimeEstimator() {
 const TaskTimeEstimator::Entry& TaskTimeEstimator::entry(
     const workflow::Workflow& wf, workflow::TaskId task, cloud::TypeId type) {
   const std::size_t index = task * inputs_.size() + type;
-  {
-    std::shared_lock lock(cache_mutex_);
-    const auto it = tables_.find(wf.uid());
-    if (it != tables_.end() && it->second.entries[index].built) {
-      return it->second.entries[index];
-    }
-  }
-  std::unique_lock lock(cache_mutex_);
   const auto [it, inserted] = tables_.try_emplace(wf.uid());
   WorkflowTables& tables = it->second;
   if (inserted) {

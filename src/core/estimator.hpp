@@ -22,10 +22,13 @@
 // Histogram::sample's upper_bound on a non-decreasing CDF.  Same RNG stream,
 // same draw order, same additions: the histograms are bit-identical to
 // per-draw sampling (docs/performance.md, "Task-time estimation").
+//
+// One estimator per solve: the cache is unsynchronized, so an estimator must
+// not be shared between threads.  Concurrent solves (ensemble scoring,
+// sharded reactive runs) each build their own.
 #pragma once
 
 #include <optional>
-#include <shared_mutex>
 #include <unordered_map>
 #include <vector>
 
@@ -62,12 +65,9 @@ class TaskTimeEstimator {
 
   /// Execution-time distribution of `task` of `wf` on instance type `type`.
   /// Cached per (workflow, task, type); workflows are told apart by
-  /// Workflow::uid(), so one estimator serves any number of workflows.  All
-  /// accessors are thread-safe (the pipelined search driver generates
-  /// children — which read mean times — concurrently with batch evaluation,
-  /// which stages distributions); returned references stay valid for the
-  /// estimator's lifetime, and cache contents are independent of call
-  /// order, so concurrency cannot change results.
+  /// Workflow::uid(), so one estimator serves any number of workflows.
+  /// Returned references stay valid for the estimator's lifetime, and cache
+  /// contents are independent of call order.
   const util::Histogram& distribution(const workflow::Workflow& wf,
                                       workflow::TaskId task,
                                       cloud::TypeId type);
@@ -125,10 +125,8 @@ class TaskTimeEstimator {
   const cloud::Catalog* catalog_;
   EstimatorOptions options_;
   std::vector<TypeInputs> inputs_;  // by type id
-  // Guards the tables, the build scratch and the build totals.  Entries
-  // are immutable once built, so shared readers may hold returned
+  // Entries are immutable once built, so callers may hold returned
   // references across later builds.
-  mutable std::shared_mutex cache_mutex_;
   std::unordered_map<std::uint64_t, WorkflowTables> tables_;  // by uid
   std::vector<double> dynamic_scratch_;
   std::vector<double> total_scratch_;

@@ -1,9 +1,7 @@
 #include "core/scheduling.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <map>
-#include <mutex>
 
 #include "obs/obs.hpp"
 #include "workflow/analysis.hpp"
@@ -27,20 +25,11 @@ SchedulingProblem::SchedulingProblem(const workflow::Workflow& wf,
       estimator_(&estimator),
       evaluator_(wf, estimator, backend, eval),
       topo_(wf.topological_order()),
-      mean_(wf.task_count() * estimator.catalog().type_count()) {
-  for (std::atomic<double>& slot : mean_) {
-    slot.store(-1.0, std::memory_order_relaxed);
-  }
-}
+      mean_(wf.task_count() * estimator.catalog().type_count(), -1.0) {}
 
 double SchedulingProblem::mean_time(workflow::TaskId t, cloud::TypeId v) {
-  std::atomic<double>& slot =
-      mean_[t * estimator_->catalog().type_count() + v];
-  double m = slot.load(std::memory_order_relaxed);
-  if (m < 0) {
-    m = estimator_->mean_time(*wf_, t, v);
-    slot.store(m, std::memory_order_relaxed);
-  }
+  double& m = mean_[t * estimator_->catalog().type_count() + v];
+  if (m < 0) m = estimator_->mean_time(*wf_, t, v);
   return m;
 }
 
@@ -257,9 +246,8 @@ SchedulingResult SchedulingProblem::solve(const ProbDeadline& req,
 
   SearchCallbacks<sim::Plan> cb;
   cb.hash = plan_hash;
-  // One op over the distinct critical-path tasks yields distinct children,
-  // so apply_op needs no generate_children-style dedup (and its plan_hash
-  // per child); the search's visited set still dedups across states.
+  // One op over the distinct critical-path tasks yields distinct children;
+  // the search's visited set dedups across states.
   cb.children = [this, &catalog](const sim::Plan& plan) {
     TransformOptions topt;
     topt.focus_tasks = critical_tasks(plan);
@@ -271,18 +259,16 @@ SchedulingResult SchedulingProblem::solve(const ProbDeadline& req,
   // discarded it before any sampling — the counter the `search.states_pruned`
   // metric reports).  Under kMc the wave is plain full MC.
   const bool screened = evaluator_.options().estimator != EstimatorMode::kMc;
-  std::atomic<std::size_t> screen_rejections{0};
+  std::size_t screen_rejections = 0;
   // Screen-feasible states, kept so Tier 2 can fall back to the runner-ups
-  // if the search winner fails full-MC verification.  cb.evaluate may run on
-  // the pipelined driver's evaluation thread, hence the mutex.
+  // if the search winner fails full-MC verification.
   struct Candidate {
     double objective;
     std::uint64_t hash;
     sim::Plan plan;
   };
-  std::mutex candidates_mu;
   std::vector<Candidate> candidates;
-  cb.evaluate = [this, &req, screened, &screen_rejections, &candidates_mu,
+  cb.evaluate = [this, &req, screened, &screen_rejections,
                  &candidates](std::span<const sim::Plan> plans) {
     std::vector<Scored> scores(plans.size());
     const auto evals = evaluator_.evaluate_batch_screened(plans, req);
@@ -292,14 +278,13 @@ SchedulingResult SchedulingProblem::solve(const ProbDeadline& req,
       if (evals[i].verdict == ScreenVerdict::kReject) ++rejected;
     }
     if (screened) {
-      std::lock_guard<std::mutex> lock(candidates_mu);
       for (std::size_t i = 0; i < evals.size(); ++i) {
         if (!evals[i].eval.feasible) continue;
         candidates.push_back(Candidate{evals[i].eval.mean_cost,
                                        plan_hash(plans[i]), plans[i]});
       }
-      // Keep the list bounded: cheapest-first, hash tie-break so the order
-      // (and therefore the fallback choice) is independent of wave timing.
+      // Keep the list bounded: cheapest-first, with a hash tie-break so
+      // equal costs (and therefore the fallback choice) sort deterministically.
       if (candidates.size() > 4 * kVerifyTopK) {
         std::sort(candidates.begin(), candidates.end(),
                   [](const Candidate& a, const Candidate& b) {
@@ -311,7 +296,7 @@ SchedulingResult SchedulingProblem::solve(const ProbDeadline& req,
       }
     }
     if (rejected != 0) {
-      screen_rejections.fetch_add(rejected, std::memory_order_relaxed);
+      screen_rejections += rejected;
       DECO_OBS_COUNTER_ADD("search.states_pruned", rejected);
     }
     return scores;
@@ -340,7 +325,7 @@ SchedulingResult SchedulingProblem::solve(const ProbDeadline& req,
   }
 
   result.stats = found.stats;
-  result.stats.states_pruned += screen_rejections.load();
+  result.stats.states_pruned += screen_rejections;
   result.budget = found.budget;
   // Tier 2 on the search outcome: the search ran on screened scores, so the
   // candidate must survive the full-MC verifier before it competes with the

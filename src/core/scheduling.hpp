@@ -12,7 +12,6 @@
 // by consolidate().
 #pragma once
 
-#include <atomic>
 #include <optional>
 #include <vector>
 
@@ -87,16 +86,14 @@ class SchedulingProblem {
  private:
   /// estimator_->mean_time(*wf_, t, v), memoized in a flat table: the
   /// search, the greedy chain and the polish read it for every task of
-  /// every expanded plan.  Slots are atomics because the pipelined driver
-  /// generates children while this thread runs other work; a slot's value
-  /// does not depend on who fills it.
+  /// every expanded plan.
   double mean_time(workflow::TaskId t, cloud::TypeId v);
 
   const workflow::Workflow* wf_;
   TaskTimeEstimator* estimator_;
   PlanEvaluator evaluator_;
   std::optional<std::vector<workflow::TaskId>> topo_;  ///< nullopt if cyclic
-  std::vector<std::atomic<double>> mean_;  ///< task-major; < 0 = not yet read
+  std::vector<double> mean_;  ///< task-major; < 0 = not yet read
 };
 
 }  // namespace deco::core

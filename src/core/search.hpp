@@ -8,23 +8,14 @@
 // Exploration (breadth-first) is chosen over exploitation for parallelism,
 // exactly as Section 5.3 argues.
 //
-// Pipelined driver: while a batch evaluates on a background thread, the
-// driver speculatively generates the batch's children, hashes (and, in A*
-// mode, f-scores) them — i.e. wave k+1's frontier is built while wave k is
-// still on the device.  Speculation never touches the visited set or the
-// frontier; children are *committed* only after the scores arrive, in batch
-// order, exactly as the serial driver would — so results, visited-set
-// evolution and every SearchStats counter are bit-identical with pipelining
-// on or off (tests/core/search_test.cpp pins this).  The time the driver
-// still blocks on evaluation after speculation is reported as
-// SearchStats::eval_stall_ms; it is the number to watch when sizing batches.
-//
-// Thread-safety contract for pipelining: children / hash / g_score / h_score
-// must be safe to call concurrently with evaluate (they may not share
-// unsynchronized mutable state with it).  Every in-repo problem satisfies
-// this — TaskTimeEstimator and SchedulingProblem's mean-time table, the
-// only shared mutable dependencies, are internally synchronized.  Set SearchOptions::pipeline = false for
-// callbacks that cannot meet the contract.
+// Wave loop: each wave pulls up to batch_size states off the frontier,
+// scores them in one cb.evaluate call, then commits them in batch order —
+// incumbent update, bound prune, and expansion (children, hashes and, in A*
+// mode, f scores) into the visited set and the frontier.  The time spent
+// inside cb.evaluate is reported as SearchStats::eval_stall_ms; the rest of
+// elapsed_ms is the driver's own work.  The callbacks all run on the calling
+// thread, so they may share mutable state (the evaluator parallelizes inside
+// a wave, one block per state).
 //
 // A* mode: when the user supplies g/h scores (cal_g_score / est_h_score in
 // WLog, or native callbacks here), states are expanded best-first and any
@@ -38,7 +29,6 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
-#include <future>
 #include <limits>
 #include <optional>
 #include <queue>
@@ -66,19 +56,8 @@ struct SearchOptions {
   /// Stop as soon as this many consecutive expansion waves bring no
   /// incumbent improvement (0 = run the full budget).
   std::size_t stale_wave_limit = 0;
-  /// Overlap child generation/hashing with batch evaluation on a background
-  /// thread (see the thread-safety contract above).  Results are
-  /// bit-identical either way.
-  bool pipeline = true;
-  /// Cap on the dedup (visited) set: 0 = unlimited; otherwise the oldest
-  /// hashes are evicted FIFO once the cap is reached, so million-state runs
-  /// hold O(max_visited) memory.  A re-generated evicted state is treated as
-  /// new (re-evaluated) — a work/memory trade, counted in
-  /// SearchStats::visited_evicted.  Size to max_states * branching to make
-  /// eviction a pure safety valve.
-  std::size_t max_visited = 0;
   /// Optional per-solve budget (borrowed, may be null).  Checked at wave
-  /// boundaries and inside the speculative generation loop; a fired budget
+  /// boundaries (and by any callback that observes it); a fired budget
   /// discards the partially evaluated wave and returns the incumbent as an
   /// anytime result (SearchResult::budget).  A budget that never fires is
   /// behavior-neutral: checkpoints only read, so results stay bit-identical
@@ -94,10 +73,9 @@ struct SearchOptions {
 ///   * states_pruned counts bound-pruned states (generic: post-evaluation
 ///     bound prune; A*: additionally pop-time incumbent pruning);
 ///   * duplicate_hits counts children rejected by the visited set;
-///   * visited_evicted counts hashes dropped by the max_visited FIFO cap;
-///   * eval_stall_ms is the time the driver spent blocked on batch
-///     evaluation (with pipelining: after speculative child generation ran
-///     out of overlap work; without: the whole evaluate call).
+///   * visited_evicted counts hashes dropped when a memory budget shrinks
+///     the visited set;
+///   * eval_stall_ms is the time spent inside cb.evaluate.
 struct SearchStats {
   std::size_t states_evaluated = 0;
   std::size_t states_expanded = 0;
@@ -156,17 +134,16 @@ inline bool better(double candidate, double incumbent, bool minimize) {
   return minimize ? candidate < incumbent : candidate > incumbent;
 }
 
-/// Dedup set with an optional FIFO capacity bound: past the cap, the oldest
+/// Dedup set, unbounded until a memory budget caps it: shrink_to() evicts
+/// the oldest hashes and sets a FIFO capacity, past which the oldest
 /// inserted hash is evicted for every new one.  Eviction order is a pure
-/// function of insertion order, so bounded runs stay deterministic.
+/// function of insertion order, so shrunken runs stay deterministic.
 ///
-/// `track_order` keeps the insertion-order ring even for unbounded sets so a
-/// memory budget can later shrink_to() them; unbudgeted unbounded sets skip
-/// the ring entirely (identical to the pre-budget behavior).
+/// `track_order` keeps the insertion-order ring so a memory budget can
+/// shrink_to() the set; unbudgeted sets skip the ring entirely.
 class VisitedSet {
  public:
-  explicit VisitedSet(std::size_t capacity, bool track_order = false)
-      : capacity_(capacity), track_order_(track_order) {}
+  explicit VisitedSet(bool track_order = false) : track_order_(track_order) {}
 
   /// True if `h` was newly inserted; false if it was already present.
   bool insert(std::uint64_t h) {
@@ -188,6 +165,7 @@ class VisitedSet {
 
   std::size_t evicted() const { return evicted_; }
   std::size_t size() const { return set_.size(); }
+  /// 0 until the first shrink_to().
   std::size_t capacity() const { return capacity_; }
 
   /// Approximate resident bytes: hash-set nodes (bucket array + node heap
@@ -198,14 +176,14 @@ class VisitedSet {
 
   /// Memory-pressure degradation: FIFO-evicts the oldest hashes until at
   /// most `new_capacity` remain and caps the set there.  Requires insertion
-  /// order (a bounded set, or track_order) — otherwise a no-op.  Evictions
-  /// count into evicted(); dedup afterwards is exactly what a set built with
-  /// the smaller cap would do from this point on.
+  /// order (track_order) — otherwise a no-op.  Evictions count into
+  /// evicted(); dedup afterwards is exactly what a set capped at
+  /// `new_capacity` would do from this point on.
   void shrink_to(std::size_t new_capacity) {
     new_capacity = std::max<std::size_t>(new_capacity, 1);
-    if (capacity_ == 0 && !track_order_) return;  // no order to evict by
-    // Linearize oldest-first: a wrapped bounded ring starts at head_; an
-    // unwrapped or unbounded ring is already in insertion order.
+    if (!track_order_) return;  // no order to evict by
+    // Linearize oldest-first: a wrapped capped ring starts at head_; an
+    // unwrapped or uncapped ring is already in insertion order.
     std::vector<std::uint64_t> live;
     live.reserve(ring_.size());
     if (capacity_ != 0 && ring_.size() == capacity_ && head_ != 0) {
@@ -226,13 +204,20 @@ class VisitedSet {
   }
 
  private:
-  std::size_t capacity_;
+  std::size_t capacity_ = 0;  // 0 = uncapped
   bool track_order_;
   std::unordered_set<std::uint64_t> set_;
   std::vector<std::uint64_t> ring_;  // insertion order, reused circularly
   std::size_t head_ = 0;
   std::size_t evicted_ = 0;
 };
+
+/// The visited set a driver starts with: order is tracked only when a memory
+/// budget may later ask to shrink it.
+inline VisitedSet make_visited(const util::BudgetTracker* budget) {
+  return VisitedSet(budget != nullptr && budget->active() &&
+                    budget->memory_budget() > 0);
+}
 
 /// Wave-boundary budget service, shared by both drivers.  Publishes the
 /// visited set's bytes, honors a pending shrink request from the evaluator's
@@ -263,100 +248,40 @@ inline bool service_budget(util::BudgetTracker* budget, VisitedSet& visited,
   return budget->should_stop();
 }
 
-/// Finalizes SearchResult::budget and clears the visited gauge (the set dies
-/// with the driver's stack frame).
-inline util::SolveReport finish_budget(util::BudgetTracker* budget,
-                                       std::size_t states_evaluated) {
-  if (budget == nullptr) return {};
-  const util::SolveReport report = budget->report(states_evaluated);
-  budget->set_bytes(util::BudgetTracker::Component::kVisited, 0);
-  return report;
+/// Scores one wave, adding the time spent inside cb.evaluate to `stall_ms`.
+template <typename State>
+std::vector<Scored> evaluate_wave(const SearchCallbacks<State>& cb,
+                                  const std::vector<State>& batch,
+                                  double& stall_ms) {
+  const auto t0 = std::chrono::steady_clock::now();
+  std::vector<Scored> scores = cb.evaluate(std::span<const State>(batch));
+  stall_ms += std::chrono::duration<double, std::milli>(
+                  std::chrono::steady_clock::now() - t0)
+                  .count();
+  return scores;
 }
 
-/// One wave's speculative products: children and their hashes (A* adds f
-/// scores), generated while the wave's evaluation is in flight.
+/// Stamps the elapsed time and the budget outcome, clears the visited gauge
+/// (the set dies with the driver's stack frame) and publishes the metrics.
 template <typename State>
-struct Speculation {
-  std::vector<std::vector<State>> children;
-  std::vector<std::vector<std::uint64_t>> hashes;
-  std::vector<std::vector<double>> f_scores;  // A* only
-};
-
-/// Evaluates `batch`, overlapping cb.children / cb.hash (and f scoring when
-/// `f_of` is non-null) with the evaluation when options.pipeline is set.
-/// Returns the scores; fills `spec` with the batch's speculative children.
-/// Stall time — the wait on the evaluation after speculation finished — is
-/// accumulated into `stall_ms`.
-template <typename State, typename FScore>
-std::vector<Scored> evaluate_wave(const SearchCallbacks<State>& cb,
-                                  const SearchOptions& options,
-                                  const std::vector<State>& batch,
-                                  const FScore* f_of, Speculation<State>& spec,
-                                  double& stall_ms) {
-  using clock = std::chrono::steady_clock;
-  spec.children.assign(batch.size(), {});
-  spec.hashes.assign(batch.size(), {});
-  spec.f_scores.assign(batch.size(), {});
-  if (!options.pipeline) {
-    const auto t0 = clock::now();
-    std::vector<Scored> scores =
-        cb.evaluate(std::span<const State>(batch));
-    stall_ms +=
-        std::chrono::duration<double, std::milli>(clock::now() - t0).count();
-    return scores;
+void finish_search(SearchResult<State>& result, const VisitedSet& visited,
+                   util::BudgetTracker* budget,
+                   std::chrono::steady_clock::time_point t0,
+                   const char* kind) {
+  result.stats.visited_evicted = visited.evicted();
+  result.stats.elapsed_ms = std::chrono::duration<double, std::milli>(
+                                std::chrono::steady_clock::now() - t0)
+                                .count();
+  if (budget != nullptr) {
+    result.budget = budget->report(result.stats.states_evaluated);
+    budget->set_bytes(util::BudgetTracker::Component::kVisited, 0);
   }
-  std::future<std::vector<Scored>> pending = std::async(
-      std::launch::async,
-      [&cb, &batch] { return cb.evaluate(std::span<const State>(batch)); });
-  bool speculation_cut = false;
-  try {
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      // A fired budget ends speculation: the wave is about to be discarded,
-      // so generating more children is wasted work.  The evaluation is still
-      // drained below (it observes the same budget through its own
-      // checkpoints), keeping the background thread's exit clean.
-      if (options.budget != nullptr && options.budget->should_stop()) {
-        speculation_cut = true;
-        break;
-      }
-      spec.children[i] = cb.children(batch[i]);
-      auto& hashes = spec.hashes[i];
-      hashes.reserve(spec.children[i].size());
-      for (const State& child : spec.children[i]) {
-        hashes.push_back(cb.hash(child));
-      }
-      if (f_of != nullptr) {
-        auto& fs = spec.f_scores[i];
-        fs.reserve(spec.children[i].size());
-        for (const State& child : spec.children[i]) {
-          fs.push_back((*f_of)(child));
-        }
-      }
-    }
-  } catch (...) {
-    // The in-flight evaluation borrows `batch`; never unwind past it.
-    pending.wait();
-    throw;
-  }
-  const auto t0 = clock::now();
-  // Rethrows a BudgetExhaustedError raised inside the evaluation on the
-  // driver thread — the cancellation path out of the background evaluation.
-  std::vector<Scored> scores = pending.get();
-  stall_ms +=
-      std::chrono::duration<double, std::milli>(clock::now() - t0).count();
-  if (speculation_cut) {
-    // The evaluation finished between budget checkpoints, but speculation is
-    // incomplete; committing a partial wave would diverge from the serial
-    // driver, so the cut wave is abandoned wholesale.
-    throw util::BudgetExhaustedError(options.budget->trigger());
-  }
-  return scores;
+  record_search_metrics(kind, result.stats);
 }
 
 }  // namespace detail
 
-/// Breadth-first generic search with batched, pipelined evaluation
-/// (Algorithm 2).
+/// Breadth-first generic search with batched evaluation (Algorithm 2).
 template <typename State>
 SearchResult<State> generic_search(const State& initial,
                                    const SearchCallbacks<State>& cb,
@@ -364,10 +289,7 @@ SearchResult<State> generic_search(const State& initial,
   DECO_OBS_SPAN("search", "generic_search");
   const auto t0 = std::chrono::steady_clock::now();
   SearchResult<State> result;
-  const bool meter_memory =
-      options.budget != nullptr && options.budget->active() &&
-      options.budget->memory_budget() > 0;
-  detail::VisitedSet visited(options.max_visited, meter_memory);
+  detail::VisitedSet visited = detail::make_visited(options.budget);
   const std::size_t visited_floor =
       std::max<std::size_t>(options.batch_size, 64);
   std::queue<State> frontier;
@@ -377,7 +299,6 @@ SearchResult<State> generic_search(const State& initial,
   double bound = options.minimize ? std::numeric_limits<double>::infinity()
                                   : -std::numeric_limits<double>::infinity();
   std::size_t stale_waves = 0;
-  detail::Speculation<State> spec;
 
   while (!frontier.empty() &&
          result.stats.states_evaluated < options.max_states) {
@@ -389,13 +310,9 @@ SearchResult<State> generic_search(const State& initial,
       batch.push_back(std::move(frontier.front()));
       frontier.pop();
     }
-    // Child generation for this wave overlaps its evaluation (no f scoring
-    // in breadth-first mode).
-    const std::function<double(const State&)>* no_f = nullptr;
     std::vector<Scored> scores;
     try {
-      scores = detail::evaluate_wave(cb, options, batch, no_f, spec,
-                                     result.stats.eval_stall_ms);
+      scores = detail::evaluate_wave(cb, batch, result.stats.eval_stall_ms);
     } catch (const util::BudgetExhaustedError&) {
       // Anytime cut: the partially evaluated wave is discarded — its scores
       // were never committed — and the incumbent stands.
@@ -415,24 +332,16 @@ SearchResult<State> generic_search(const State& initial,
         improved = true;
       }
       // Bound prune: with a monotone objective, a state already worse than
-      // the incumbent cannot lead to a better feasible descendant.  Its
-      // speculative children are simply dropped.
+      // the incumbent cannot lead to a better feasible descendant.
       if (options.monotone_objective && result.best &&
           !detail::better(s.objective, bound, options.minimize)) {
         ++result.stats.states_pruned;
         continue;
       }
       ++result.stats.states_expanded;
-      if (!options.pipeline) {
-        spec.children[i] = cb.children(batch[i]);
-        spec.hashes[i].clear();
-        for (const State& child : spec.children[i]) {
-          spec.hashes[i].push_back(cb.hash(child));
-        }
-      }
-      for (std::size_t c = 0; c < spec.children[i].size(); ++c) {
-        if (visited.insert(spec.hashes[i][c])) {
-          frontier.push(std::move(spec.children[i][c]));
+      for (State& child : cb.children(batch[i])) {
+        if (visited.insert(cb.hash(child))) {
+          frontier.push(std::move(child));
         } else {
           ++result.stats.duplicate_hits;
         }
@@ -444,14 +353,8 @@ SearchResult<State> generic_search(const State& initial,
       break;
     }
   }
-  result.stats.visited_evicted = visited.evicted();
-  result.stats.elapsed_ms =
-      std::chrono::duration<double, std::milli>(
-          std::chrono::steady_clock::now() - t0)
-          .count();
-  result.budget =
-      detail::finish_budget(options.budget, result.stats.states_evaluated);
-  detail::record_search_metrics("search.generic_ms", result.stats);
+  detail::finish_search(result, visited, options.budget, t0,
+                        "search.generic_ms");
   return result;
 }
 
@@ -473,10 +376,7 @@ SearchResult<State> astar_search(const State& initial,
     return sign * a.f > sign * b.f;
   };
   std::priority_queue<Entry, std::vector<Entry>, decltype(worse)> open(worse);
-  const bool meter_memory =
-      options.budget != nullptr && options.budget->active() &&
-      options.budget->memory_budget() > 0;
-  detail::VisitedSet visited(options.max_visited, meter_memory);
+  detail::VisitedSet visited = detail::make_visited(options.budget);
   const std::size_t visited_floor =
       std::max<std::size_t>(options.batch_size, 64);
 
@@ -499,7 +399,6 @@ SearchResult<State> astar_search(const State& initial,
   double bound = options.minimize ? std::numeric_limits<double>::infinity()
                                   : -std::numeric_limits<double>::infinity();
   std::size_t stale_waves = 0;
-  detail::Speculation<State> spec;
 
   while (!budget_cut && !open.empty() &&
          result.stats.states_evaluated < options.max_states) {
@@ -518,12 +417,9 @@ SearchResult<State> astar_search(const State& initial,
       batch.push_back(std::move(e.state));
     }
     if (batch.empty()) break;
-    // Child generation, hashing and f-scoring for this wave overlap its
-    // evaluation.
     std::vector<Scored> scores;
     try {
-      scores = detail::evaluate_wave(cb, options, batch, &f_of, spec,
-                                     result.stats.eval_stall_ms);
+      scores = detail::evaluate_wave(cb, batch, result.stats.eval_stall_ms);
     } catch (const util::BudgetExhaustedError&) {
       break;  // anytime cut — the incumbent stands, the wave is discarded
     }
@@ -541,34 +437,26 @@ SearchResult<State> astar_search(const State& initial,
         improved = true;
       }
       ++result.stats.states_expanded;
-      if (!options.pipeline) {
-        try {
-          spec.children[i] = cb.children(batch[i]);
-          spec.hashes[i].clear();
-          spec.f_scores[i].clear();
-          for (const State& child : spec.children[i]) {
-            spec.hashes[i].push_back(cb.hash(child));
-            spec.f_scores[i].push_back(f_of(child));
+      try {
+        // Only children new to the visited set are f-scored.
+        for (State& child : cb.children(batch[i])) {
+          if (!visited.insert(cb.hash(child))) {
+            ++result.stats.duplicate_hits;
+            continue;
           }
-        } catch (const util::BudgetExhaustedError&) {
-          // Incumbent updates up to here stand; the rest of the wave's
-          // children are dropped and the search ends anytime-style.
-          budget_cut = true;
-          break;
-        }
-      }
-      for (std::size_t c = 0; c < spec.children[i].size(); ++c) {
-        if (visited.insert(spec.hashes[i][c])) {
-          const double f = spec.f_scores[i][c];
+          const double f = f_of(child);
           if (result.best && options.monotone_objective &&
               !detail::better(f, bound, options.minimize)) {
             ++result.stats.states_pruned;
             continue;
           }
-          open.push(Entry{std::move(spec.children[i][c]), f});
-        } else {
-          ++result.stats.duplicate_hits;
+          open.push(Entry{std::move(child), f});
         }
+      } catch (const util::BudgetExhaustedError&) {
+        // Incumbent updates up to here stand; the rest of the wave's
+        // children are dropped and the search ends anytime-style.
+        budget_cut = true;
+        break;
       }
     }
     stale_waves = improved ? 0 : stale_waves + 1;
@@ -577,14 +465,8 @@ SearchResult<State> astar_search(const State& initial,
       break;
     }
   }
-  result.stats.visited_evicted = visited.evicted();
-  result.stats.elapsed_ms =
-      std::chrono::duration<double, std::milli>(
-          std::chrono::steady_clock::now() - t0)
-          .count();
-  result.budget =
-      detail::finish_budget(options.budget, result.stats.states_evaluated);
-  detail::record_search_metrics("search.astar_ms", result.stats);
+  detail::finish_search(result, visited, options.budget, t0,
+                        "search.astar_ms");
   return result;
 }
 

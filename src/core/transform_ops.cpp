@@ -18,12 +18,6 @@ std::int32_t next_free_group(const sim::Plan& plan) {
   return next;
 }
 
-void cap(std::vector<sim::Plan>& children, std::size_t max_children) {
-  if (max_children > 0 && children.size() > max_children) {
-    children.resize(max_children);
-  }
-}
-
 }  // namespace
 
 std::string to_string(TransformOp op) {
@@ -100,10 +94,6 @@ std::vector<sim::Plan> apply_op(TransformOp op, const sim::Plan& plan,
           child[a].group = g;
           child[b].group = g;
           children.push_back(std::move(child));
-          if (options.max_children_per_op > 0 &&
-              children.size() >= options.max_children_per_op) {
-            return children;
-          }
         }
       }
       break;
@@ -142,26 +132,7 @@ std::vector<sim::Plan> apply_op(TransformOp op, const sim::Plan& plan,
       break;
     }
   }
-  cap(children, options.max_children_per_op);
   return children;
-}
-
-std::vector<sim::Plan> generate_children(const sim::Plan& plan,
-                                         const workflow::Workflow& wf,
-                                         const cloud::Catalog& catalog,
-                                         const std::vector<TransformOp>& ops,
-                                         const TransformOptions& options) {
-  std::vector<sim::Plan> out;
-  std::unordered_set<std::uint64_t> seen;
-  seen.insert(plan_hash(plan));
-  for (TransformOp op : ops) {
-    for (sim::Plan& child : apply_op(op, plan, wf, catalog, options)) {
-      if (seen.insert(plan_hash(child)).second) {
-        out.push_back(std::move(child));
-      }
-    }
-  }
-  return out;
 }
 
 std::uint64_t plan_hash(const sim::Plan& plan) {

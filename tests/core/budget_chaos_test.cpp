@@ -77,7 +77,6 @@ TEST(BudgetChaosTest, RandomTinyBudgetsNeverHangOrCrash) {
     }
     SchedulingOptions options;
     options.search.budget = &tracker;
-    options.search.pipeline = rng.uniform() < 0.5;
     options.use_astar = rng.uniform() < 0.3;
     const ProbDeadline req{0.9, 1e6 + rng.uniform() * 1e7};
 

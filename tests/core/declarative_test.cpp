@@ -226,9 +226,9 @@ constexpr const char* kAstarKnapsack = R"(
 )";
 
 TEST(DeclarativeSolverTest, PipelinedAstarSolveIsRepeatable) {
-  // The search overlaps each wave's evaluation with f-scoring its
-  // children, so the scorer's database and solver work beside the
-  // evaluation's own IR copy; repeated solves must agree exactly.
+  // The f-scores layer decision facts on their own database and solver,
+  // separate from the evaluation's IR copy, and both persist across the
+  // search; repeated solves must agree exactly.
   const auto first = solve_text(kAstarKnapsack);
   ASSERT_TRUE(first.ok) << first.error;
   EXPECT_DOUBLE_EQ(first.goal_value, 11.0);

@@ -1,13 +1,12 @@
 // The table-driven estimator build against the per-draw algorithm it
-// replaced, the branch-free bin index against Histogram::sample, the
-// per-workflow cache against fresh estimators, and concurrent readers
-// against a serial estimator.  Every comparison is bit for bit.
+// replaced, the branch-free bin index against Histogram::sample, and the
+// per-workflow cache against fresh estimators.  Every comparison is bit for
+// bit.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -286,76 +285,6 @@ TEST(EstimatorCacheTest, CopiesShareTheCache) {
   EXPECT_EQ(copy.uid(), wf.uid());
   TaskTimeEstimator est(ec2(), store());
   EXPECT_EQ(&est.distribution(wf, 2, 1), &est.distribution(copy, 2, 1));
-}
-
-// ---------------------------------------------------------------------------
-// Concurrent readers.
-
-TEST(EstimatorConcurrencyTest, ConcurrentReadersMatchASerialEstimator) {
-  util::Rng rng(7);
-  const auto wf = workflow::make_cybershake(100, rng);
-  const std::size_t types = ec2().type_count();
-  const std::size_t pairs = wf.task_count() * types;
-
-  TaskTimeEstimator serial(ec2(), store());
-  std::vector<double> means(pairs);
-  for (std::size_t i = 0; i < pairs; ++i) {
-    means[i] = serial.mean_time(wf, static_cast<workflow::TaskId>(i / types),
-                                static_cast<cloud::TypeId>(i % types));
-  }
-
-  TaskTimeEstimator shared(ec2(), store());
-  constexpr std::size_t kThreads = 4;
-  std::vector<std::vector<const util::Histogram*>> seen(
-      kThreads, std::vector<const util::Histogram*>(2 * pairs));
-  std::vector<std::size_t> mismatches(kThreads, 0);
-  std::vector<std::thread> threads;
-  for (std::size_t id = 0; id < kThreads; ++id) {
-    threads.emplace_back([&, id] {
-      // Each thread walks the pairs in its own order and mixes the three
-      // accessors, so builds race with lookups of every kind.
-      std::vector<std::size_t> order(pairs);
-      for (std::size_t i = 0; i < pairs; ++i) order[i] = i;
-      util::Rng shuffle(100 + id);
-      std::shuffle(order.begin(), order.end(), shuffle);
-      for (std::size_t k = 0; k < pairs; ++k) {
-        const std::size_t i = order[k];
-        const auto t = static_cast<workflow::TaskId>(i / types);
-        const auto v = static_cast<cloud::TypeId>(i % types);
-        switch ((k + id) % 3) {
-          case 0:
-            seen[id][2 * i] = &shared.distribution(wf, t, v);
-            seen[id][2 * i + 1] = &shared.dynamic_distribution(wf, t, v);
-            break;
-          case 1:
-            seen[id][2 * i + 1] = &shared.dynamic_distribution(wf, t, v);
-            seen[id][2 * i] = &shared.distribution(wf, t, v);
-            break;
-          default:
-            if (shared.mean_time(wf, t, v) != means[i]) ++mismatches[id];
-            seen[id][2 * i] = &shared.distribution(wf, t, v);
-            seen[id][2 * i + 1] = &shared.dynamic_distribution(wf, t, v);
-        }
-      }
-    });
-  }
-  for (std::thread& th : threads) th.join();
-
-  for (std::size_t id = 0; id < kThreads; ++id) {
-    EXPECT_EQ(mismatches[id], 0u) << "thread " << id;
-    // Every thread got the same cached objects...
-    EXPECT_EQ(seen[id], seen[0]) << "thread " << id;
-  }
-  // ...and they hold the serial estimator's histograms.
-  for (std::size_t i = 0; i < pairs; ++i) {
-    const auto t = static_cast<workflow::TaskId>(i / types);
-    const auto v = static_cast<cloud::TypeId>(i % types);
-    expect_same_histogram(*seen[0][2 * i], serial.distribution(wf, t, v),
-                          "pair " + std::to_string(i));
-    expect_same_histogram(*seen[0][2 * i + 1],
-                          serial.dynamic_distribution(wf, t, v),
-                          "pair " + std::to_string(i) + " (dynamic)");
-  }
 }
 
 // ---------------------------------------------------------------------------

@@ -48,25 +48,22 @@ void expect_identical(const SearchResult<int>& a, const SearchResult<int>& b) {
 }
 
 TEST(SearchBudgetTest, GenerousBudgetIsBitIdenticalToUnbudgeted) {
-  for (const bool pipeline : {false, true}) {
-    SearchOptions opt;
-    opt.max_states = 3000;
-    opt.pipeline = pipeline;
-    const auto plain = generic_search(0, tree_callbacks(10, 2000), opt);
+  SearchOptions opt;
+  opt.max_states = 3000;
+  const auto plain = generic_search(0, tree_callbacks(10, 2000), opt);
 
-    util::SolveBudget spec;
-    spec.wall_ms = 1e9;
-    spec.max_bytes = std::size_t{1} << 40;
-    util::BudgetTracker tracker(spec);
-    SearchOptions budgeted = opt;
-    budgeted.budget = &tracker;
-    const auto under = generic_search(0, tree_callbacks(10, 2000), budgeted);
+  util::SolveBudget spec;
+  spec.wall_ms = 1e9;
+  spec.max_bytes = std::size_t{1} << 40;
+  util::BudgetTracker tracker(spec);
+  SearchOptions budgeted = opt;
+  budgeted.budget = &tracker;
+  const auto under = generic_search(0, tree_callbacks(10, 2000), budgeted);
 
-    expect_identical(plain, under);
-    EXPECT_FALSE(under.budget.budget_exhausted);
-    EXPECT_EQ(under.budget.trigger, util::BudgetTrigger::kNone);
-    EXPECT_EQ(under.budget.states_at_cutoff, under.stats.states_evaluated);
-  }
+  expect_identical(plain, under);
+  EXPECT_FALSE(under.budget.budget_exhausted);
+  EXPECT_EQ(under.budget.trigger, util::BudgetTrigger::kNone);
+  EXPECT_EQ(under.budget.states_at_cutoff, under.stats.states_evaluated);
 }
 
 TEST(SearchBudgetTest, GenerousBudgetIsBitIdenticalForAstar) {
@@ -92,29 +89,26 @@ TEST(SearchBudgetTest, GenerousBudgetIsBitIdenticalForAstar) {
 }
 
 TEST(SearchBudgetTest, TinyWallBudgetReturnsAnytimeIncumbent) {
-  for (const bool pipeline : {false, true}) {
-    auto cb = tree_callbacks(0, 1 << 20);  // everything feasible
-    cb.evaluate = [inner = cb.evaluate](std::span<const int> batch) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
-      return inner(batch);
-    };
-    util::SolveBudget spec;
-    spec.wall_ms = 10;
-    util::BudgetTracker tracker(spec);
-    SearchOptions opt;
-    opt.max_states = 1 << 20;  // far beyond what 10 ms allows
-    opt.batch_size = 4;
-    opt.stale_wave_limit = 0;
-    opt.pipeline = pipeline;
-    opt.budget = &tracker;
-    const auto r = generic_search(0, cb, opt);
-    ASSERT_TRUE(r.best.has_value()) << "pipeline=" << pipeline;
-    EXPECT_TRUE(r.budget.budget_exhausted);
-    EXPECT_EQ(r.budget.trigger, util::BudgetTrigger::kWallClock);
-    EXPECT_LT(r.stats.states_evaluated, opt.max_states);
-    EXPECT_EQ(r.budget.states_at_cutoff, r.stats.states_evaluated);
-    EXPECT_GT(r.budget.elapsed_ms, 0.0);
-  }
+  auto cb = tree_callbacks(0, 1 << 20);  // everything feasible
+  cb.evaluate = [inner = cb.evaluate](std::span<const int> batch) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    return inner(batch);
+  };
+  util::SolveBudget spec;
+  spec.wall_ms = 10;
+  util::BudgetTracker tracker(spec);
+  SearchOptions opt;
+  opt.max_states = 1 << 20;  // far beyond what 10 ms allows
+  opt.batch_size = 4;
+  opt.stale_wave_limit = 0;
+  opt.budget = &tracker;
+  const auto r = generic_search(0, cb, opt);
+  ASSERT_TRUE(r.best.has_value());
+  EXPECT_TRUE(r.budget.budget_exhausted);
+  EXPECT_EQ(r.budget.trigger, util::BudgetTrigger::kWallClock);
+  EXPECT_LT(r.stats.states_evaluated, opt.max_states);
+  EXPECT_EQ(r.budget.states_at_cutoff, r.stats.states_evaluated);
+  EXPECT_GT(r.budget.elapsed_ms, 0.0);
 }
 
 TEST(SearchBudgetTest, CancelTokenCutsSearchMidway) {
@@ -222,27 +216,8 @@ TEST(SearchBudgetTest, ShrinkingPastTheFloorFiresMemoryCutoff) {
   EXPECT_LT(r.stats.states_evaluated, std::size_t{1} << 20);
 }
 
-// Satellite: bounded-visited FIFO eviction under the pipelined driver must
-// match the serial driver exactly (eviction order is insertion order, which
-// speculation does not perturb).
-TEST(SearchBudgetTest, PipelinedBoundedVisitedMatchesSerial) {
-  auto run = [](bool pipeline) {
-    SearchOptions opt;
-    opt.max_states = 4000;
-    opt.max_visited = 64;
-    opt.pipeline = pipeline;
-    return generic_search(0, tree_callbacks(10, 4000), opt);
-  };
-  const auto serial = run(false);
-  const auto piped = run(true);
-  EXPECT_GT(piped.stats.visited_evicted, 0u);
-  ASSERT_TRUE(piped.best.has_value());
-  EXPECT_EQ(*piped.best, 10);
-  expect_identical(serial, piped);
-}
-
 TEST(VisitedShrinkTest, ShrinkToDropsOldestAndCapsCapacity) {
-  detail::VisitedSet set(0, /*track_order=*/true);
+  detail::VisitedSet set(/*track_order=*/true);
   for (std::uint64_t h = 0; h < 100; ++h) EXPECT_TRUE(set.insert(h));
   EXPECT_EQ(set.size(), 100u);
   set.shrink_to(10);
@@ -256,19 +231,24 @@ TEST(VisitedShrinkTest, ShrinkToDropsOldestAndCapsCapacity) {
 }
 
 TEST(VisitedShrinkTest, WrappedBoundedRingShrinksOldestFirst) {
-  detail::VisitedSet set(8, /*track_order=*/false);
-  for (std::uint64_t h = 0; h < 12; ++h) set.insert(h);  // ring wrapped
+  detail::VisitedSet set(/*track_order=*/true);
+  for (std::uint64_t h = 0; h < 8; ++h) set.insert(h);
+  set.shrink_to(8);  // caps the set at 8 without evicting
+  EXPECT_EQ(set.evicted(), 0u);
+  for (std::uint64_t h = 8; h < 12; ++h) set.insert(h);  // ring wrapped
   EXPECT_EQ(set.evicted(), 4u);  // 0..3 FIFO-evicted by capacity
+  EXPECT_TRUE(set.insert(0));    // evicts 4: 0 is new again
+  EXPECT_EQ(set.evicted(), 5u);
   set.shrink_to(2);
   EXPECT_EQ(set.size(), 2u);
-  // Only the two newest (10, 11) remain.
-  EXPECT_FALSE(set.insert(10));
+  // Only the two newest (11, 0) remain.
   EXPECT_FALSE(set.insert(11));
-  EXPECT_TRUE(set.insert(4));
+  EXPECT_FALSE(set.insert(0));
+  EXPECT_TRUE(set.insert(10));
 }
 
 TEST(VisitedShrinkTest, UntrackedUnboundedSetCannotShrink) {
-  detail::VisitedSet set(0, /*track_order=*/false);
+  detail::VisitedSet set(/*track_order=*/false);
   for (std::uint64_t h = 0; h < 50; ++h) set.insert(h);
   set.shrink_to(5);  // no insertion order recorded: a documented no-op
   EXPECT_EQ(set.size(), 50u);

@@ -245,63 +245,8 @@ TEST(SearchStatsTest, AstarFillsExpansionAndDuplicateCounters) {
   EXPECT_EQ(pruned.stats.states_expanded, pruned.stats.states_evaluated);
 }
 
-// Runs one search configuration with pipelining on and off and requires the
-// outcome and every schedule-independent counter to match bit for bit.
-template <typename Search>
-void expect_pipeline_invariant(Search&& search, SearchOptions opt) {
-  opt.pipeline = false;
-  const auto serial = search(opt);
-  opt.pipeline = true;
-  const auto piped = search(opt);
-  EXPECT_EQ(serial.best.has_value(), piped.best.has_value());
-  if (serial.best && piped.best) {
-    EXPECT_EQ(*serial.best, *piped.best);
-    EXPECT_EQ(serial.best_score.objective, piped.best_score.objective);
-  }
-  EXPECT_EQ(serial.stats.states_evaluated, piped.stats.states_evaluated);
-  EXPECT_EQ(serial.stats.states_expanded, piped.stats.states_expanded);
-  EXPECT_EQ(serial.stats.states_pruned, piped.stats.states_pruned);
-  EXPECT_EQ(serial.stats.duplicate_hits, piped.stats.duplicate_hits);
-  EXPECT_EQ(serial.stats.visited_evicted, piped.stats.visited_evicted);
-  EXPECT_EQ(serial.stats.waves, piped.stats.waves);
-}
-
-TEST(PipelinedSearchTest, GenericMatchesSerialDriver) {
-  for (std::size_t batch : {1u, 4u, 32u}) {
-    SearchOptions opt;
-    opt.max_states = 5000;
-    opt.batch_size = batch;
-    expect_pipeline_invariant(
-        [](const SearchOptions& o) {
-          return generic_search(0, tree_callbacks(10, 2000), o);
-        },
-        opt);
-    SearchOptions prune = opt;
-    prune.monotone_objective = true;
-    expect_pipeline_invariant(
-        [](const SearchOptions& o) {
-          return generic_search(0, tree_callbacks(5, 2000), o);
-        },
-        prune);
-  }
-}
-
-TEST(PipelinedSearchTest, AstarMatchesSerialDriver) {
-  auto run = [](const SearchOptions& o) {
-    auto cb = tree_callbacks(900, 4000);
-    cb.g_score = [](const int& n) { return static_cast<double>(n); };
-    cb.h_score = [](const int&) { return 0.0; };
-    return astar_search(0, cb, o);
-  };
-  for (std::size_t batch : {1u, 8u}) {
-    SearchOptions opt;
-    opt.max_states = 5000;
-    opt.batch_size = batch;
-    opt.monotone_objective = true;
-    expect_pipeline_invariant(run, opt);
-  }
-}
-
+// eval_stall_ms is the time spent inside cb.evaluate: at least the 2 ms each
+// wave sleeps there, and part of elapsed_ms.
 TEST(PipelinedSearchTest, EvalStallIsRecorded) {
   auto cb = tree_callbacks(10, 500);
   cb.evaluate = [inner = cb.evaluate](std::span<const int> batch) {
@@ -311,10 +256,11 @@ TEST(PipelinedSearchTest, EvalStallIsRecorded) {
   SearchOptions opt;
   opt.max_states = 100;
   const auto r = generic_search(0, cb, opt);
-  EXPECT_GT(r.stats.eval_stall_ms, 0.0);
+  EXPECT_GE(r.stats.eval_stall_ms, 2.0 * static_cast<double>(r.stats.waves));
   EXPECT_LE(r.stats.eval_stall_ms, r.stats.elapsed_ms);
 }
 
+// A failure in child generation other than a budget cut escapes the search.
 TEST(PipelinedSearchTest, SpeculationExceptionPropagates) {
   auto cb = tree_callbacks(10, 500);
   cb.children = [](const int&) -> std::vector<int> {
@@ -322,52 +268,7 @@ TEST(PipelinedSearchTest, SpeculationExceptionPropagates) {
   };
   SearchOptions opt;
   opt.max_states = 100;
-  opt.pipeline = true;
   EXPECT_THROW(generic_search(0, cb, opt), std::runtime_error);
-}
-
-TEST(BoundedVisitedTest, EvictionIsCountedAndSearchStillTerminates) {
-  SearchOptions opt;
-  opt.max_states = 4000;
-  opt.max_visited = 64;  // far below the ~4000 states the walk visits
-  const auto bounded = generic_search(0, tree_callbacks(10, 4000), opt);
-  EXPECT_GT(bounded.stats.visited_evicted, 0u);
-  ASSERT_TRUE(bounded.best.has_value());
-  EXPECT_EQ(*bounded.best, 10);
-
-  SearchOptions unlimited = opt;
-  unlimited.max_visited = 0;
-  const auto full = generic_search(0, tree_callbacks(10, 4000), unlimited);
-  EXPECT_EQ(full.stats.visited_evicted, 0u);
-}
-
-TEST(BoundedVisitedTest, GenerousCapChangesNothing) {
-  // A cap the walk never reaches must leave results and counters identical
-  // to the unbounded run.
-  SearchOptions opt;
-  opt.max_states = 3000;
-  const auto unbounded = generic_search(0, tree_callbacks(10, 1000), opt);
-  opt.max_visited = 1 << 20;
-  const auto capped = generic_search(0, tree_callbacks(10, 1000), opt);
-  EXPECT_EQ(capped.stats.visited_evicted, 0u);
-  EXPECT_EQ(*unbounded.best, *capped.best);
-  EXPECT_EQ(unbounded.stats.states_evaluated, capped.stats.states_evaluated);
-  EXPECT_EQ(unbounded.stats.duplicate_hits, capped.stats.duplicate_hits);
-}
-
-TEST(BoundedVisitedTest, AstarHonorsCap) {
-  auto cb = tree_callbacks(10, 4000);
-  cb.g_score = [](const int& n) { return static_cast<double>(n); };
-  cb.h_score = [](const int&) { return 0.0; };
-  SearchOptions opt;
-  opt.max_states = 4000;
-  // Incumbent pruning stops this walk after ~60 visited states, so the cap
-  // must sit well below that to be exercised.
-  opt.max_visited = 16;
-  const auto r = astar_search(0, cb, opt);
-  EXPECT_GT(r.stats.visited_evicted, 0u);
-  ASSERT_TRUE(r.best.has_value());
-  EXPECT_EQ(*r.best, 10);
 }
 
 }  // namespace

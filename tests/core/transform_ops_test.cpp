@@ -129,14 +129,6 @@ TEST(TransformTest, MoveJoinsExistingGroup) {
   }
 }
 
-TEST(TransformTest, GenerateChildrenDeduplicates) {
-  const auto wf = diamond();
-  const sim::Plan plan = sim::Plan::uniform(4, 1);
-  const auto children = generate_children(
-      plan, wf, ec2(), {TransformOp::kPromote, TransformOp::kPromote});
-  EXPECT_EQ(children.size(), 4u);  // duplicates from the second pass removed
-}
-
 TEST(TransformTest, HashDistinguishesPlans) {
   sim::Plan a = sim::Plan::uniform(4, 0);
   sim::Plan b = a;

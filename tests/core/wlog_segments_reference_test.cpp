@@ -6,9 +6,6 @@
 // name — and both must agree bit for bit over random IRs and random worlds,
 // including static exetime facts, non-numeric alternatives, tasks without a
 // time source and configs flags other than 1.
-//
-// Compiled with deco_core's optimization flags (tests/CMakeLists.txt), so the
-// reference's floating-point contraction matches the code it checks.
 #include <gtest/gtest.h>
 
 #include <optional>

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "core/deco.hpp"
+#include "core/wlog_bridge.hpp"
 #include "tests/core/test_fixtures.hpp"
 #include "wlog/problog.hpp"
 #include "wlog/program.hpp"
@@ -284,6 +285,39 @@ TEST(WlogSegmentsTest, DecoAstarSolveMatchesInterpreterOracleExactly) {
     cal_g_score(C) :- totalcost(C).
     est_h_score(0).
   )" + canonical_rules());
+}
+
+TEST(WlogSegmentsTest, LigoTotalCostSamplesMatchEngineBitForBit) {
+  // A real-sized sum: LIGO-40 through the bridge, one mixed-type state, 48
+  // worlds.  Every world's totalcost must round each T*(Up*Con) product
+  // before adding it, as the engine does, never fusing the two.
+  const auto parsed = wlog::parse_program(kSchedulingHeader + canonical_rules());
+  ASSERT_TRUE(parsed.ok());
+  util::Rng rng(40);
+  const auto wf = workflow::make_workflow(workflow::AppType::kLigo, 40, rng);
+  TaskTimeEstimator estimator(ec2(), store());
+  WlogBridge bridge(wf, estimator);
+  const wlog::ProbProgram ir = bridge.build_ir(parsed.program);
+  const SegmentPlan plan = SegmentPlan::translate(ir, parsed.program);
+  ASSERT_TRUE(plan.sum().has_value());
+  sim::Plan placement = sim::Plan::uniform(wf.task_count(), 0);
+  for (workflow::TaskId t = 0; t < wf.task_count(); ++t) {
+    placement[t].vm_type = static_cast<cloud::TypeId>(t % ec2().type_count());
+  }
+  const wlog::ProbProgram bound = bridge.bind_plan(ir, placement);
+  const SegmentState state(plan, bound);
+  const TermPtr query = parsed.program.goal->query;
+  const TermPtr variable = parsed.program.goal->variable;
+  ASSERT_TRUE(state.can_answer(query, variable));
+
+  wlog::McOptions mc;
+  mc.max_iterations = 48;
+  mc.exec = wlog::ExecMode::kVm;
+  util::Rng r1(11), r2(11);
+  const auto engine = wlog::mc_sample_values(bound, query, variable, r1, mc);
+  const auto segment = state.sample_values(query, variable, r2, mc);
+  ASSERT_EQ(engine.size(), mc.max_iterations);
+  EXPECT_EQ(engine, segment);
 }
 
 }  // namespace
