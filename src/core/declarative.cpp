@@ -95,15 +95,26 @@ class FactLayer {
   std::size_t mark_;
 };
 
-std::uint64_t assignment_hash(const std::vector<int>& assignment) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (int v : assignment) {
-    h = (h ^ static_cast<std::uint64_t>(v + 1)) * 0x100000001b3ULL;
-  }
-  return h;
+}  // namespace
+
+std::uint64_t assignment_key(const std::vector<int>& assignment) {
+  return sequence_key(assignment, [](int choice) { return choice; });
 }
 
-}  // namespace
+void expand_assignment(const std::vector<int>& assignment, std::uint64_t key,
+                       std::size_t choices, Expansion<std::vector<int>>& out) {
+  for (std::size_t e = 0; e < assignment.size(); ++e) {
+    const int choice = assignment[e];
+    if (choice + 1 >= static_cast<int>(choices)) continue;
+    const std::uint64_t child_key =
+        rekey(key, e, static_cast<std::uint64_t>(choice),
+              static_cast<std::uint64_t>(choice + 1));
+    if (!out.fresh(child_key)) continue;
+    std::vector<int> child = assignment;
+    ++child[e];
+    out.push(std::move(child), child_key);
+  }
+}
 
 DeclarativeResult DeclarativeSolver::solve(const wlog::Program& program,
                                            const wlog::ProbProgram& ir) {
@@ -287,17 +298,10 @@ DeclarativeResult DeclarativeSolver::solve(const wlog::Program& program,
   };
 
   SearchCallbacks<std::vector<int>> cb;
-  cb.hash = assignment_hash;
-  cb.children = [&](const std::vector<int>& assignment) {
-    std::vector<std::vector<int>> children;
-    for (std::size_t e = 0; e < n; ++e) {
-      if (assignment[e] + 1 < static_cast<int>(k)) {
-        std::vector<int> child = assignment;
-        ++child[e];
-        children.push_back(std::move(child));
-      }
-    }
-    return children;
+  cb.hash = assignment_key;
+  cb.expand = [k](const std::vector<int>& assignment, std::uint64_t key,
+                  Expansion<std::vector<int>>& out) {
+    expand_assignment(assignment, key, k, out);
   };
   cb.evaluate = [&](std::span<const std::vector<int>> states) {
     std::vector<Scored> out(states.size());

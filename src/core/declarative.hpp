@@ -78,6 +78,15 @@ struct DeclarativeResult {
   util::SolveReport budget;
 };
 
+/// Search key of a decision-variable assignment (the additive key of
+/// core/search.hpp over the entities' choice indices).
+std::uint64_t assignment_key(const std::vector<int>& assignment);
+
+/// The declarative search's transition: each child advances one entity's
+/// choice by one, below `choices`.  Child keys are rekeys of `key`.
+void expand_assignment(const std::vector<int>& assignment, std::uint64_t key,
+                       std::size_t choices, Expansion<std::vector<int>>& out);
+
 class DeclarativeSolver {
  public:
   explicit DeclarativeSolver(DeclarativeOptions options = {})

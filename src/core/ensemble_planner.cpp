@@ -8,15 +8,39 @@
 namespace deco::core {
 namespace {
 
-std::uint64_t bitmask_hash(const std::vector<bool>& bits) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (std::size_t i = 0; i < bits.size(); ++i) {
-    if (bits[i]) h ^= 0x100000001b3ULL * (i + 1);
+/// Expected cost of the members `admitted` holds, plus member `also` if it is
+/// a member index — summed in member order either way, so a child's cost is
+/// the same before and after the child is built.
+double admission_cost(const std::vector<bool>& admitted,
+                      const std::vector<double>& member_costs,
+                      std::size_t also) {
+  double cost = 0;
+  for (std::size_t i = 0; i < admitted.size(); ++i) {
+    if (admitted[i] || i == also) cost += member_costs[i];
   }
-  return h;
+  return cost;
 }
 
 }  // namespace
+
+std::uint64_t admission_key(const std::vector<bool>& admitted) {
+  return sequence_key(admitted, [](bool in) { return in ? 1 : 0; });
+}
+
+void expand_admissions(const std::vector<bool>& admitted, std::uint64_t key,
+                       const std::vector<std::uint8_t>& feasible,
+                       const std::vector<double>& member_costs, double budget,
+                       Expansion<std::vector<bool>>& out) {
+  for (std::size_t i = 0; i < admitted.size(); ++i) {
+    if (admitted[i] || !feasible[i]) continue;
+    if (!(admission_cost(admitted, member_costs, i) <= budget)) continue;
+    const std::uint64_t child_key = rekey(key, i, 0, 1);
+    if (!out.fresh(child_key)) continue;
+    std::vector<bool> child = admitted;
+    child[i] = true;
+    out.push(std::move(child), child_key);
+  }
+}
 
 EnsemblePlanner::EnsemblePlanner(const cloud::Catalog& catalog,
                                  const cloud::MetadataStore& store,
@@ -71,13 +95,9 @@ EnsemblePlanResult EnsemblePlanner::plan(const workflow::Ensemble& ensemble,
 
   // Admission search: maximize score subject to the budget.
   SearchCallbacks<std::vector<bool>> cb;
-  cb.hash = bitmask_hash;
+  cb.hash = admission_key;
   auto cost_of = [&](const std::vector<bool>& bits) {
-    double cost = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (bits[i]) cost += result.member_costs[i];
-    }
-    return cost;
+    return admission_cost(bits, result.member_costs, n);
   };
   auto score_of = [&](const std::vector<bool>& bits) {
     double score = 0;
@@ -86,17 +106,10 @@ EnsemblePlanResult EnsemblePlanner::plan(const workflow::Ensemble& ensemble,
     }
     return score;
   };
-  cb.children = [&](const std::vector<bool>& bits) {
-    std::vector<std::vector<bool>> children;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (bits[i] || !feasible[i]) continue;
-      std::vector<bool> child = bits;
-      child[i] = true;
-      // Children that already blow the budget are not generated at all
-      // (cost is monotone in admissions).
-      if (cost_of(child) <= ensemble.budget) children.push_back(std::move(child));
-    }
-    return children;
+  cb.expand = [&](const std::vector<bool>& bits, std::uint64_t key,
+                  Expansion<std::vector<bool>>& out) {
+    expand_admissions(bits, key, feasible, result.member_costs,
+                      ensemble.budget, out);
   };
   cb.evaluate = [&](std::span<const std::vector<bool>> states) {
     std::vector<Scored> out(states.size());

@@ -15,6 +15,7 @@
 // the source of Deco's cost advantage over SPSS).
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "core/scheduling.hpp"
@@ -53,6 +54,18 @@ struct EnsemblePlanResult {
   double score = 0;                  ///< Eq. 4
   SearchStats stats;
 };
+
+/// Search key of an admission vector (the additive key of core/search.hpp
+/// over the 0/1 admissions).
+std::uint64_t admission_key(const std::vector<bool>& admitted);
+
+/// The admission search's transition: each child admits one more feasible
+/// member, and children whose cost exceeds `budget` are not generated (cost
+/// is monotone in admissions).  Child keys are rekeys of `key`.
+void expand_admissions(const std::vector<bool>& admitted, std::uint64_t key,
+                       const std::vector<std::uint8_t>& feasible,
+                       const std::vector<double>& member_costs, double budget,
+                       Expansion<std::vector<bool>>& out);
 
 class EnsemblePlanner {
  public:

@@ -641,9 +641,15 @@ std::vector<ScreenedEvaluation> PlanEvaluator::sample_worlds(
 
 PlanEvaluation PlanEvaluator::verify_full_mc(const sim::Plan& plan,
                                              const ProbDeadline& req) {
-  ++screen_stats_.full_mc_verifications;
-  DECO_OBS_COUNTER_ADD("eval.screen.full_mc_verifications", 1);
-  return evaluate(plan, req);
+  return verify_full_mc({&plan, 1}, req)[0];
+}
+
+std::vector<PlanEvaluation> PlanEvaluator::verify_full_mc(
+    std::span<const sim::Plan> plans, const ProbDeadline& req) {
+  if (plans.empty()) return {};
+  screen_stats_.full_mc_verifications += plans.size();
+  DECO_OBS_COUNTER_ADD("eval.screen.full_mc_verifications", plans.size());
+  return evaluate_batch(plans, req);
 }
 
 void PlanEvaluator::record_screen_stats(const ScreenStats& delta) {

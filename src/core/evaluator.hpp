@@ -206,6 +206,10 @@ class PlanEvaluator {
   /// Identical to evaluate(); the separate name records intent at call sites
   /// and feeds the full_mc_verifications tally.
   PlanEvaluation verify_full_mc(const sim::Plan& plan, const ProbDeadline& req);
+  /// Tier 2 verification of a wave: one block per plan, each result equal to
+  /// the single-plan verify_full_mc of that plan.
+  std::vector<PlanEvaluation> verify_full_mc(std::span<const sim::Plan> plans,
+                                             const ProbDeadline& req);
 
   const workflow::Workflow& workflow() const { return *wf_; }
   TaskTimeEstimator& estimator() { return *estimator_; }

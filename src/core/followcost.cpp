@@ -10,15 +10,27 @@ namespace {
 
 constexpr double kGB = 1024.0 * 1024.0 * 1024.0;
 
-std::uint64_t region_vector_hash(const std::vector<cloud::RegionId>& regions) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (cloud::RegionId r : regions) {
-    h = (h ^ (r + 1)) * 0x100000001b3ULL;
-  }
-  return h;
+}  // namespace
+
+std::uint64_t region_vector_key(const std::vector<cloud::RegionId>& regions) {
+  return sequence_key(regions, [](cloud::RegionId r) { return r; });
 }
 
-}  // namespace
+void expand_region_flips(const std::vector<cloud::RegionId>& regions,
+                         std::uint64_t key,
+                         const std::vector<std::vector<bool>>& feasible,
+                         Expansion<std::vector<cloud::RegionId>>& out) {
+  for (std::size_t i = 0; i < regions.size(); ++i) {
+    for (cloud::RegionId r = 0; r < feasible[i].size(); ++r) {
+      if (r == regions[i] || !feasible[i][r]) continue;
+      const std::uint64_t child_key = rekey(key, i, regions[i], r);
+      if (!out.fresh(child_key)) continue;
+      std::vector<cloud::RegionId> child = regions;
+      child[i] = r;
+      out.push(std::move(child), child_key);
+    }
+  }
+}
 
 double MigrationWorkflowState::frontier_bytes() const {
   double bytes = 0;
@@ -102,19 +114,11 @@ MigrationDecision MigrationOptimizer::optimize(
   }
 
   SearchCallbacks<std::vector<cloud::RegionId>> cb;
-  cb.hash = region_vector_hash;
-  cb.children = [&](const std::vector<cloud::RegionId>& state) {
-    // Flip one workflow's target to any other feasible region.
-    std::vector<std::vector<cloud::RegionId>> children;
-    for (std::size_t i = 0; i < n; ++i) {
-      for (cloud::RegionId r = 0; r < regions; ++r) {
-        if (r == state[i] || !feasible[i][r]) continue;
-        std::vector<cloud::RegionId> child = state;
-        child[i] = r;
-        children.push_back(std::move(child));
-      }
-    }
-    return children;
+  cb.hash = region_vector_key;
+  cb.expand = [&feasible](const std::vector<cloud::RegionId>& state,
+                          std::uint64_t key,
+                          Expansion<std::vector<cloud::RegionId>>& out) {
+    expand_region_flips(state, key, feasible, out);
   };
   cb.evaluate = [&](std::span<const std::vector<cloud::RegionId>> batch) {
     std::vector<Scored> out(batch.size());

@@ -51,6 +51,18 @@ struct MigrationDecision {
   SearchStats stats;
 };
 
+/// Search key of a per-workflow target-region vector (the additive key of
+/// core/search.hpp over the region ids).
+std::uint64_t region_vector_key(const std::vector<cloud::RegionId>& regions);
+
+/// The migration search's transition: each child moves one workflow's target
+/// to another region that `feasible[workflow][region]` allows.  Child keys
+/// are rekeys of `key`.
+void expand_region_flips(const std::vector<cloud::RegionId>& regions,
+                         std::uint64_t key,
+                         const std::vector<std::vector<bool>>& feasible,
+                         Expansion<std::vector<cloud::RegionId>>& out);
+
 class MigrationOptimizer {
  public:
   MigrationOptimizer(const cloud::Catalog& catalog,

@@ -47,6 +47,23 @@ std::vector<workflow::TaskId> SchedulingProblem::critical_tasks(
   return workflow::critical_path(*wf_, weights, *topo_).tasks;
 }
 
+void SchedulingProblem::expand(const sim::Plan& plan, std::uint64_t key,
+                               Expansion<sim::Plan>& out) {
+  const cloud::TypeId types = estimator_->catalog().type_count();
+  for (const workflow::TaskId t : critical_tasks(plan)) {
+    const sim::TaskPlacement& from = plan[t];
+    if (from.vm_type + 1 >= types) continue;
+    sim::TaskPlacement to = from;
+    ++to.vm_type;
+    const std::uint64_t child_key =
+        rekey(key, t, placement_value(from), placement_value(to));
+    if (!out.fresh(child_key)) continue;
+    sim::Plan child = plan;
+    child[t] = to;
+    out.push(std::move(child), child_key);
+  }
+}
+
 sim::Plan SchedulingProblem::polish(sim::Plan plan, const ProbDeadline& req) {
   const cloud::Catalog& catalog = estimator_->catalog();
   const std::size_t n = wf_->task_count();
@@ -157,70 +174,92 @@ sim::Plan SchedulingProblem::consolidate(sim::Plan plan,
   return plan;
 }
 
-SchedulingResult SchedulingProblem::greedy_feasible(const ProbDeadline& req,
-                                                    cloud::RegionId region) {
-  SchedulingResult result;
-  const cloud::Catalog& catalog = estimator_->catalog();
-  // Screened modes run the promotion loop on the cheap estimator tiers and
-  // confirm every screen-feasible plan with the Tier 2 verifier before the
-  // loop trusts it (a failed confirmation just keeps promoting); under kMc
-  // the score already is full MC.
-  const bool screened = evaluator_.options().estimator != EstimatorMode::kMc;
-  auto score = [&](const sim::Plan& p) {
-    const sim::Plan* one = &p;
-    return evaluator_
-        .evaluate_batch_screened(std::span<const sim::Plan>(one, 1), req)[0]
-        .eval;
-  };
-  sim::Plan plan = initial_plan(region);
-  PlanEvaluation eval{};
-  std::size_t iterations = 0;
-  // The whole promotion loop is one budget scope: a budget firing mid-loop
-  // keeps the last promoted plan as the anytime answer (always full-size;
-  // found stays false because the loop only runs while infeasible).
-  try {
-  eval = score(plan);
-  if (screened && eval.feasible) eval = evaluator_.verify_full_mc(plan, req);
-  const std::size_t max_iterations = wf_->task_count() * catalog.type_count();
-  while (!eval.feasible && iterations++ < max_iterations) {
-    // Promote the critical-path task with the largest mean time that still
-    // has headroom.
-    const auto cp = critical_tasks(plan);
-    workflow::TaskId best = workflow::kInvalidTask;
-    double best_time = -1;
-    for (workflow::TaskId t : cp) {
-      if (plan[t].vm_type + 1 >= catalog.type_count()) continue;
+bool SchedulingProblem::promote_next(sim::Plan& plan) {
+  const cloud::TypeId types = estimator_->catalog().type_count();
+  // The critical-path task with the largest mean time that still has
+  // headroom.
+  workflow::TaskId best = workflow::kInvalidTask;
+  double best_time = -1;
+  for (workflow::TaskId t : critical_tasks(plan)) {
+    if (plan[t].vm_type + 1 >= types) continue;
+    const double mt = mean_time(t, plan[t].vm_type);
+    if (mt > best_time) {
+      best_time = mt;
+      best = t;
+    }
+  }
+  if (best == workflow::kInvalidTask) {
+    // The mean critical path is maxed but the quantile still violates the
+    // deadline: promote the slowest promotable task anywhere.
+    for (workflow::TaskId t = 0; t < wf_->task_count(); ++t) {
+      if (plan[t].vm_type + 1 >= types) continue;
       const double mt = mean_time(t, plan[t].vm_type);
       if (mt > best_time) {
         best_time = mt;
         best = t;
       }
     }
-    if (best == workflow::kInvalidTask) {
-      // The mean critical path is maxed but the quantile still violates the
-      // deadline: promote the slowest promotable task anywhere.
-      for (workflow::TaskId t = 0; t < wf_->task_count(); ++t) {
-        if (plan[t].vm_type + 1 >= catalog.type_count()) continue;
-        const double mt = mean_time(t, plan[t].vm_type);
-        if (mt > best_time) {
-          best_time = mt;
-          best = t;
+  }
+  if (best == workflow::kInvalidTask) return false;  // everything is maxed
+  ++plan[best].vm_type;
+  return true;
+}
+
+SchedulingResult SchedulingProblem::greedy_feasible(const ProbDeadline& req,
+                                                    cloud::RegionId region,
+                                                    std::size_t max_wave) {
+  SchedulingResult result;
+  // Screened modes score the chain on the cheap estimator tiers and confirm
+  // every screen-feasible plan with the Tier 2 verifier before trusting it
+  // (a failed confirmation moves on down the chain); under kMc the score
+  // already is full MC.
+  const bool screened = evaluator_.options().estimator != EstimatorMode::kMc;
+  // The chain's order reads only mean times, never a score, so its plans are
+  // generated ahead of their scores and scored in waves of 1, 2, 4, ... up
+  // to max_wave.  Every score is the one a one-plan batch would give (Tier 2
+  // seeds come from the plan, Tier 1 shares its points across plans), so
+  // the first plan that resolves feasible in chain order is the serial
+  // chain's answer.  Plans scored past it are counted as speculative.
+  const std::size_t width_cap = std::max<std::size_t>(max_wave, 1);
+  result.plan = initial_plan(region);  // the last resolved chain plan
+  sim::Plan tip = result.plan;         // the last generated chain plan
+  std::vector<sim::Plan> wave{tip};
+  std::size_t width = 1;
+  std::size_t resolved = 0;
+  // The whole chain is one budget scope: a budget firing mid-wave keeps the
+  // last plan resolved before the cut (always full-size; found stays false
+  // because the chain stops at its first feasible plan).
+  try {
+    while (!wave.empty()) {
+      const auto evals = evaluator_.evaluate_batch_screened(wave, req);
+      for (std::size_t j = 0; j < wave.size(); ++j) {
+        PlanEvaluation eval = evals[j].eval;
+        if (screened && eval.feasible) {
+          eval = evaluator_.verify_full_mc(wave[j], req);
+        }
+        result.plan = std::move(wave[j]);
+        result.evaluation = eval;
+        ++resolved;
+        if (eval.feasible) {
+          result.found = true;
+          DECO_OBS_COUNTER_ADD("search.greedy_speculative",
+                               wave.size() - j - 1);
+          break;
         }
       }
+      if (result.found) break;
+      width = std::min(2 * width, width_cap);
+      wave.clear();
+      while (wave.size() < width && promote_next(tip)) wave.push_back(tip);
     }
-    if (best == workflow::kInvalidTask) break;  // everything is maxed
-    ++plan[best].vm_type;
-    eval = score(plan);
-    if (screened && eval.feasible) eval = evaluator_.verify_full_mc(plan, req);
-  }
+    // The serial chain counted one more state than it scored when it ran
+    // out of promotions; the count is fingerprinted, so it is kept.
+    if (!result.found) ++resolved;
   } catch (const util::BudgetExhaustedError&) {
-    // Anytime cut: the plan holds the promotions made so far and eval the
-    // last completed score.
+    // Anytime cut: the plan and evaluation of the last resolved chain plan
+    // stand.
   }
-  result.plan = std::move(plan);
-  result.evaluation = eval;
-  result.found = eval.feasible;
-  result.stats.states_evaluated = iterations + 1;
+  result.stats.states_evaluated = resolved;
   return result;
 }
 
@@ -232,7 +271,6 @@ SchedulingResult SchedulingProblem::solve(const ProbDeadline& req,
     result.evaluation.feasible = true;
     return result;
   }
-  const cloud::Catalog& catalog = estimator_->catalog();
 
   // Arm the evaluator with this solve's budget for the duration of the call
   // (exception-safe; the recursive screened fallback re-arms identically).
@@ -246,13 +284,8 @@ SchedulingResult SchedulingProblem::solve(const ProbDeadline& req,
 
   SearchCallbacks<sim::Plan> cb;
   cb.hash = plan_hash;
-  // One op over the distinct critical-path tasks yields distinct children;
-  // the search's visited set dedups across states.
-  cb.children = [this, &catalog](const sim::Plan& plan) {
-    TransformOptions topt;
-    topt.focus_tasks = critical_tasks(plan);
-    return apply_op(TransformOp::kPromote, plan, *wf_, catalog, topt);
-  };
+  cb.expand = [this](const sim::Plan& plan, std::uint64_t key,
+                     Expansion<sim::Plan>& out) { expand(plan, key, out); };
   // In screened modes the search wave is scored by the estimator hierarchy:
   // analytic accepts/rejects cost zero sampled worlds, the guard band runs
   // adaptive QMC, and each analytic rejection is a pruned state (the math
@@ -345,19 +378,21 @@ SchedulingResult SchedulingProblem::solve(const ProbDeadline& req,
                   return a.objective != b.objective ? a.objective < b.objective
                                                     : a.hash < b.hash;
                 });
-      std::size_t tried = 0;
+      // The top-K distinct runner-ups are verified as one wave; the
+      // cheapest that verifies wins.
+      std::vector<sim::Plan> runner_ups;
       std::uint64_t last_hash = 0;
-      bool have_last = false;
-      for (const Candidate& c : candidates) {
-        if (tried >= kVerifyTopK) break;
-        if (have_last && c.hash == last_hash) continue;  // dedup re-visits
+      for (Candidate& c : candidates) {
+        if (runner_ups.size() >= kVerifyTopK) break;
+        if (!runner_ups.empty() && c.hash == last_hash) continue;  // re-visit
         last_hash = c.hash;
-        have_last = true;
-        ++tried;
-        const PlanEvaluation v = evaluator_.verify_full_mc(c.plan, req);
-        if (v.feasible) {
-          found.best = c.plan;
-          found.best_score = Scored{true, v.mean_cost};
+        runner_ups.push_back(std::move(c.plan));
+      }
+      const auto verified_ups = evaluator_.verify_full_mc(runner_ups, req);
+      for (std::size_t i = 0; i < runner_ups.size(); ++i) {
+        if (verified_ups[i].feasible) {
+          found.best = std::move(runner_ups[i]);
+          found.best_score = Scored{true, verified_ups[i].mean_cost};
           break;
         }
       }
@@ -370,7 +405,8 @@ SchedulingResult SchedulingProblem::solve(const ProbDeadline& req,
     }
   }
   // The search competes with the greedy incumbent; take the cheaper feasible.
-  SchedulingResult greedy = greedy_feasible(req, options.region);
+  SchedulingResult greedy =
+      greedy_feasible(req, options.region, options.search.batch_size);
   result.stats.states_evaluated += greedy.stats.states_evaluated;
   if (found.best &&
       (!greedy.found || found.best_score.objective <=

@@ -59,12 +59,30 @@ class SchedulingProblem {
   /// Critical-path tasks of `plan` under mean task times.
   std::vector<workflow::TaskId> critical_tasks(const sim::Plan& plan);
 
+  /// The search's transition (Fig. 5): each child promotes one distinct
+  /// critical-path task of `plan` to the next type.  A child differs from
+  /// its parent in one placement, so its key is a rekey of `key` (the
+  /// plan_hash of `plan`), and only children `out` finds fresh are copied.
+  void expand(const sim::Plan& plan, std::uint64_t key,
+              Expansion<sim::Plan>& out);
+
   /// Greedy feasibility pass: promote the slowest critical-path task until
   /// the probabilistic deadline holds (or every task is maxed out).  Used as
   /// the incumbent the search must beat, so tight deadlines on large
   /// workflows always yield a feasible answer.
+  ///
+  /// The promotion order depends only on mean times, so the chain's plans
+  /// are generated ahead of their scores and scored in waves of 1, 2, 4, ...
+  /// up to `max_wave` plans (solve() passes search.batch_size).  In screened
+  /// modes a wave's screen-feasible plans are verified in full MC in chain
+  /// order.  The first plan that resolves feasible is returned — the same
+  /// plan and evaluation a one-plan-at-a-time chain returns.
+  /// stats.states_evaluated counts chain plans up to that one (plus one when
+  /// the chain runs out of promotions); plans scored past it go to the
+  /// search.greedy_speculative counter.
   SchedulingResult greedy_feasible(const ProbDeadline& req,
-                                   cloud::RegionId region = 0);
+                                   cloud::RegionId region = 0,
+                                   std::size_t max_wave = 32);
 
   /// Cost polish: per task, switch to the cheapest type that is not slower
   /// (feasibility-safe, applied blindly), then greedily try slower-but-
@@ -88,6 +106,11 @@ class SchedulingProblem {
   /// search, the greedy chain and the polish read it for every task of
   /// every expanded plan.
   double mean_time(workflow::TaskId t, cloud::TypeId v);
+
+  /// One greedy-chain step in place: promotes the slowest promotable
+  /// critical-path task (or, with the path maxed, the slowest promotable
+  /// task anywhere).  False, with `plan` unchanged, once every task is maxed.
+  bool promote_next(sim::Plan& plan);
 
   const workflow::Workflow* wf_;
   TaskTimeEstimator* estimator_;

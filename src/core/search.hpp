@@ -10,19 +10,31 @@
 //
 // Wave loop: each wave pulls up to batch_size states off the frontier,
 // scores them in one cb.evaluate call, then commits them in batch order —
-// incumbent update, bound prune, and expansion (children, hashes and, in A*
-// mode, f scores) into the visited set and the frontier.  The time spent
-// inside cb.evaluate is reported as SearchStats::eval_stall_ms; the rest of
-// elapsed_ms is the driver's own work.  The callbacks all run on the calling
-// thread, so they may share mutable state (the evaluator parallelizes inside
-// a wave, one block per state).
+// incumbent update, bound prune, and expansion into the visited set and the
+// frontier.  The time spent inside cb.evaluate is reported as
+// SearchStats::eval_stall_ms; the rest of elapsed_ms is the driver's own
+// work.  The callbacks all run on the calling thread, so they may share
+// mutable state (the evaluator parallelizes inside a wave, one block per
+// state).
+//
+// Parent-relative expansion: every frontier state travels with its key.
+// cb.expand receives the parent and the parent's key; per move it derives
+// the child's key in O(1) (an additive key, see key_term/rekey below), asks
+// Expansion::fresh whether the visited set has seen it, and builds the child
+// only when it has not.  A duplicate therefore costs one key update and one
+// set probe — no state copy, no from-scratch hash.  cb.hash is the
+// from-scratch key, used once, for the root.  The breadth-first driver also
+// knows how many more states its budget can pop off the FIFO frontier, and
+// fresh() admits no child queued past that point: its key is recorded, but
+// the state is never built.
 //
 // A* mode: when the user supplies g/h scores (cal_g_score / est_h_score in
 // WLog, or native callbacks here), states are expanded best-first and any
 // state whose g score already exceeds the best found feasible objective is
 // pruned — valid whenever children cannot improve on their parent (the
 // monotone-cost property the paper exploits: "child states configure tasks
-// with better instance types and thus always generate higher cost").
+// with better instance types and thus always generate higher cost").  Only
+// fresh children are f-scored.
 #pragma once
 
 #include <algorithm>
@@ -34,6 +46,7 @@
 #include <queue>
 #include <span>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "obs/obs.hpp"
@@ -72,7 +85,7 @@ struct SearchOptions {
 ///     (evaluated minus pruned, minus states cut off by budget/early stop);
 ///   * states_pruned counts bound-pruned states (generic: post-evaluation
 ///     bound prune; A*: additionally pop-time incumbent pruning);
-///   * duplicate_hits counts children rejected by the visited set;
+///   * duplicate_hits counts child keys Expansion::fresh rejected;
 ///   * visited_evicted counts hashes dropped when a memory budget shrinks
 ///     the visited set;
 ///   * eval_stall_ms is the time spent inside cb.evaluate.
@@ -108,9 +121,55 @@ inline void record_search_metrics(const char* kind, const SearchStats& stats) {
 
 }  // namespace detail
 
+/// The shared additive state key.  A state that is a sequence of small
+/// values v_0..v_{n-1} keys as  sum_i key_term(i, v_i)  (mod 2^64), where
+/// key_term is a splitmix64 finalizer over a position-salted value.  A move
+/// that changes one position therefore rekeys in O(1):
+///   key - key_term(i, old) + key_term(i, new),
+/// and a duplicate child is rejected before it is built.  All four search
+/// users (plans, WLog assignments, ensemble admissions, region vectors) key
+/// their states this way.
+inline std::uint64_t key_term(std::size_t position, std::uint64_t value) {
+  std::uint64_t z =
+      value + 0x9E3779B97F4A7C15ULL * (static_cast<std::uint64_t>(position) + 1);
+  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+  return z ^ (z >> 31);
+}
+
+/// The key of a state one position away: `position` changed from `from` to
+/// `to`.
+inline std::uint64_t rekey(std::uint64_t key, std::size_t position,
+                           std::uint64_t from, std::uint64_t to) {
+  return key - key_term(position, from) + key_term(position, to);
+}
+
+/// From-scratch key of a sequence, `value(element)` mapping each element to
+/// the integer its position contributes.
+template <typename Sequence, typename Value>
+std::uint64_t sequence_key(const Sequence& seq, Value value) {
+  std::uint64_t key = 0;
+  std::size_t i = 0;
+  for (const auto& element : seq) {
+    key += key_term(i++, static_cast<std::uint64_t>(value(element)));
+  }
+  return key;
+}
+
+template <typename State>
+class Expansion;
+
 template <typename State>
 struct SearchCallbacks {
-  std::function<std::vector<State>(const State&)> children;
+  /// Generates the children of `parent`, whose key is `parent_key`: per
+  /// move, derive the child's key from the parent's, and build and push the
+  /// child only if out.fresh(key).  Children must be offered in a fixed
+  /// order — it is the frontier order — and every move must be offered,
+  /// since fresh() also records keys it does not admit.
+  std::function<void(const State& parent, std::uint64_t parent_key,
+                     Expansion<State>& out)>
+      expand;
+  /// From-scratch key; the drivers call it once, for the root.
   std::function<std::uint64_t(const State&)> hash;
   std::function<std::vector<Scored>(std::span<const State>)> evaluate;
   /// A* heuristics; both null selects the generic search.
@@ -212,6 +271,52 @@ class VisitedSet {
   std::size_t evicted_ = 0;
 };
 
+}  // namespace detail
+
+/// A driver's side of one expansion: fresh() consults (and fills) the visited
+/// set, push() hands a fresh child and its key to the frontier.
+template <typename State>
+class Expansion {
+ public:
+  using Sink = std::function<void(State&&, std::uint64_t)>;
+
+  Expansion(detail::VisitedSet& visited, std::size_t& duplicate_hits,
+            Sink sink)
+      : visited_(visited), duplicate_hits_(duplicate_hits),
+        sink_(std::move(sink)) {}
+
+  /// True if the caller must build the child `key` describes and push it:
+  /// no state with this key has been seen, and the driver can still
+  /// evaluate the child.  A new key is marked seen either way, exactly as if
+  /// its child had been pushed; a seen key counts a duplicate hit.
+  bool fresh(std::uint64_t key) {
+    if (!visited_.insert(key)) {
+      ++duplicate_hits_;
+      return false;
+    }
+    if (room_ == 0) return false;
+    --room_;
+    return true;
+  }
+
+  /// Adds a child that fresh(key) admitted.
+  void push(State&& child, std::uint64_t key) {
+    sink_(std::move(child), key);
+  }
+
+  /// How many more children the driver can still evaluate from this
+  /// expansion; fresh() admits no more than that.  Unlimited by default.
+  void set_room(std::size_t room) { room_ = room; }
+
+ private:
+  detail::VisitedSet& visited_;
+  std::size_t& duplicate_hits_;
+  Sink sink_;
+  std::size_t room_ = std::numeric_limits<std::size_t>::max();
+};
+
+namespace detail {
+
 /// The visited set a driver starts with: order is tracked only when a memory
 /// budget may later ask to shrink it.
 inline VisitedSet make_visited(const util::BudgetTracker* budget) {
@@ -292,9 +397,15 @@ SearchResult<State> generic_search(const State& initial,
   detail::VisitedSet visited = detail::make_visited(options.budget);
   const std::size_t visited_floor =
       std::max<std::size_t>(options.batch_size, 64);
-  std::queue<State> frontier;
-  frontier.push(initial);
-  visited.insert(cb.hash(initial));
+  std::queue<std::pair<State, std::uint64_t>> frontier;  // state, key
+  const std::uint64_t root_key = cb.hash(initial);
+  frontier.emplace(initial, root_key);
+  visited.insert(root_key);
+  Expansion<State> expansion(
+      visited, result.stats.duplicate_hits,
+      [&frontier](State&& child, std::uint64_t key) {
+        frontier.emplace(std::move(child), key);
+      });
 
   double bound = options.minimize ? std::numeric_limits<double>::infinity()
                                   : -std::numeric_limits<double>::infinity();
@@ -305,9 +416,11 @@ SearchResult<State> generic_search(const State& initial,
     if (detail::service_budget(options.budget, visited, visited_floor)) break;
     // Pull one batch off the FIFO queue.
     std::vector<State> batch;
+    std::vector<std::uint64_t> keys;
     while (!frontier.empty() && batch.size() < options.batch_size &&
            result.stats.states_evaluated + batch.size() < options.max_states) {
-      batch.push_back(std::move(frontier.front()));
+      batch.push_back(std::move(frontier.front().first));
+      keys.push_back(frontier.front().second);
       frontier.pop();
     }
     std::vector<Scored> scores;
@@ -339,13 +452,14 @@ SearchResult<State> generic_search(const State& initial,
         continue;
       }
       ++result.stats.states_expanded;
-      for (State& child : cb.children(batch[i])) {
-        if (visited.insert(cb.hash(child))) {
-          frontier.push(std::move(child));
-        } else {
-          ++result.stats.duplicate_hits;
-        }
-      }
+      // The frontier is FIFO and the budget can pop at most `left` more
+      // states, so a child queued behind `left` others is never evaluated:
+      // it is marked seen (the dedup and its counters are unchanged) but not
+      // built.
+      const std::size_t left =
+          options.max_states - result.stats.states_evaluated;
+      expansion.set_room(left > frontier.size() ? left - frontier.size() : 0);
+      cb.expand(batch[i], keys[i], expansion);
     }
     stale_waves = improved ? 0 : stale_waves + 1;
     if (options.stale_wave_limit > 0 && result.best &&
@@ -370,6 +484,7 @@ SearchResult<State> astar_search(const State& initial,
   struct Entry {
     State state;
     double f;
+    std::uint64_t key;
   };
   const double sign = options.minimize ? 1.0 : -1.0;
   auto worse = [sign](const Entry& a, const Entry& b) {
@@ -389,21 +504,36 @@ SearchResult<State> astar_search(const State& initial,
   // interpreters); a cut before the first state is scored yields an empty
   // anytime result rather than an escaping exception.
   bool budget_cut = false;
+  const std::uint64_t root_key = cb.hash(initial);
   try {
-    open.push(Entry{initial, f_of(initial)});
+    open.push(Entry{initial, f_of(initial), root_key});
   } catch (const util::BudgetExhaustedError&) {
     budget_cut = true;
   }
-  visited.insert(cb.hash(initial));
+  visited.insert(root_key);
 
   double bound = options.minimize ? std::numeric_limits<double>::infinity()
                                   : -std::numeric_limits<double>::infinity();
   std::size_t stale_waves = 0;
+  // Fresh children are f-scored as they are pushed; with a monotone
+  // objective, one that cannot beat the incumbent is pruned instead.
+  Expansion<State> expansion(
+      visited, result.stats.duplicate_hits,
+      [&](State&& child, std::uint64_t key) {
+        const double f = f_of(child);
+        if (result.best && options.monotone_objective &&
+            !detail::better(f, bound, options.minimize)) {
+          ++result.stats.states_pruned;
+          return;
+        }
+        open.push(Entry{std::move(child), f, key});
+      });
 
   while (!budget_cut && !open.empty() &&
          result.stats.states_evaluated < options.max_states) {
     if (detail::service_budget(options.budget, visited, visited_floor)) break;
     std::vector<State> batch;
+    std::vector<std::uint64_t> keys;
     while (!open.empty() && batch.size() < options.batch_size &&
            result.stats.states_evaluated + batch.size() < options.max_states) {
       Entry e = open.top();
@@ -415,6 +545,7 @@ SearchResult<State> astar_search(const State& initial,
         continue;
       }
       batch.push_back(std::move(e.state));
+      keys.push_back(e.key);
     }
     if (batch.empty()) break;
     std::vector<Scored> scores;
@@ -438,20 +569,7 @@ SearchResult<State> astar_search(const State& initial,
       }
       ++result.stats.states_expanded;
       try {
-        // Only children new to the visited set are f-scored.
-        for (State& child : cb.children(batch[i])) {
-          if (!visited.insert(cb.hash(child))) {
-            ++result.stats.duplicate_hits;
-            continue;
-          }
-          const double f = f_of(child);
-          if (result.best && options.monotone_objective &&
-              !detail::better(f, bound, options.minimize)) {
-            ++result.stats.states_pruned;
-            continue;
-          }
-          open.push(Entry{std::move(child), f});
-        }
+        cb.expand(batch[i], keys[i], expansion);
       } catch (const util::BudgetExhaustedError&) {
         // Incumbent updates up to here stand; the rest of the wave's
         // children are dropped and the search ends anytime-style.

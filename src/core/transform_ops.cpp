@@ -136,16 +136,7 @@ std::vector<sim::Plan> apply_op(TransformOp op, const sim::Plan& plan,
 }
 
 std::uint64_t plan_hash(const sim::Plan& plan) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  auto mix = [&h](std::uint64_t v) {
-    h ^= v + 0x9E3779B97F4A7C15ULL + (h << 6) + (h >> 2);
-  };
-  for (const auto& p : plan.placements) {
-    mix(p.vm_type);
-    mix(p.region);
-    mix(static_cast<std::uint64_t>(static_cast<std::int64_t>(p.group)) + 7);
-  }
-  return h;
+  return sequence_key(plan.placements, placement_value);
 }
 
 }  // namespace deco::core

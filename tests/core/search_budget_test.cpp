@@ -16,11 +16,11 @@ namespace {
 // Same toy state as search_test.cpp: a binary tree over integers.
 SearchCallbacks<int> tree_callbacks(int feasible_from, int max_value) {
   SearchCallbacks<int> cb;
-  cb.children = [max_value](const int& n) {
-    std::vector<int> out;
-    if (2 * n + 1 <= max_value) out.push_back(2 * n + 1);
-    if (2 * n + 2 <= max_value) out.push_back(2 * n + 2);
-    return out;
+  cb.expand = [max_value](const int& n, std::uint64_t, Expansion<int>& out) {
+    for (const int child : {2 * n + 1, 2 * n + 2}) {
+      const auto key = static_cast<std::uint64_t>(child);
+      if (child <= max_value && out.fresh(key)) out.push(int{child}, key);
+    }
   };
   cb.hash = [](const int& n) { return static_cast<std::uint64_t>(n); };
   cb.evaluate = [feasible_from](std::span<const int> batch) {

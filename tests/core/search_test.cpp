@@ -13,11 +13,11 @@ namespace {
 // objective is the value itself; feasible above a threshold.
 SearchCallbacks<int> tree_callbacks(int feasible_from, int max_value) {
   SearchCallbacks<int> cb;
-  cb.children = [max_value](const int& n) {
-    std::vector<int> out;
-    if (2 * n + 1 <= max_value) out.push_back(2 * n + 1);
-    if (2 * n + 2 <= max_value) out.push_back(2 * n + 2);
-    return out;
+  cb.expand = [max_value](const int& n, std::uint64_t, Expansion<int>& out) {
+    for (const int child : {2 * n + 1, 2 * n + 2}) {
+      const auto key = static_cast<std::uint64_t>(child);
+      if (child <= max_value && out.fresh(key)) out.push(int{child}, key);
+    }
   };
   cb.hash = [](const int& n) { return static_cast<std::uint64_t>(n); };
   cb.evaluate = [feasible_from](std::span<const int> batch) {
@@ -94,10 +94,12 @@ TEST(GenericSearchTest, StaleWaveLimitStopsEarly) {
 TEST(GenericSearchTest, VisitedStatesNotReexpanded) {
   // A graph where children collide heavily: children(n) = {n+1, n+2}.
   SearchCallbacks<int> cb;
-  cb.children = [](const int& n) {
-    std::vector<int> out;
-    if (n < 50) out = {n + 1, n + 2};
-    return out;
+  cb.expand = [](const int& n, std::uint64_t, Expansion<int>& out) {
+    if (n >= 50) return;
+    for (const int child : {n + 1, n + 2}) {
+      const auto key = static_cast<std::uint64_t>(child);
+      if (out.fresh(key)) out.push(int{child}, key);
+    }
   };
   cb.hash = [](const int& n) { return static_cast<std::uint64_t>(n); };
   std::size_t evaluations = 0;
@@ -113,6 +115,30 @@ TEST(GenericSearchTest, VisitedStatesNotReexpanded) {
   opt.max_states = 10000;
   generic_search(0, cb, opt);
   EXPECT_LE(evaluations, 53u);  // each state evaluated at most once
+}
+
+TEST(GenericSearchTest, ChildrenPastTheBudgetAreNotBuilt) {
+  // The FIFO frontier can only pop max_states - 1 states after the root, so
+  // the breadth-first driver admits no more children than that; the rest
+  // are recorded as seen but never built.
+  auto cb = tree_callbacks(1 << 20, 1 << 20);
+  std::size_t built = 0;
+  cb.expand = [&built](const int& n, std::uint64_t, Expansion<int>& out) {
+    for (const int child : {2 * n + 1, 2 * n + 2}) {
+      const auto key = static_cast<std::uint64_t>(child);
+      if (!out.fresh(key)) continue;
+      ++built;
+      out.push(int{child}, key);
+    }
+  };
+  SearchOptions opt;
+  opt.max_states = 40;
+  opt.batch_size = 8;
+  const auto r = generic_search(0, cb, opt);
+  EXPECT_EQ(r.stats.states_evaluated, 40u);
+  EXPECT_EQ(r.stats.states_expanded, 40u);
+  EXPECT_EQ(built, 39u);
+  EXPECT_EQ(r.stats.duplicate_hits, 0u);
 }
 
 TEST(AstarSearchTest, FindsOptimumWithAdmissibleHeuristic) {
@@ -173,10 +199,12 @@ TEST(SearchStatsTest, TimingPopulated) {
 // search variants can walk with identical callbacks.
 SearchCallbacks<int> collide_callbacks(int limit) {
   SearchCallbacks<int> cb;
-  cb.children = [limit](const int& n) {
-    std::vector<int> out;
-    if (n < limit) out = {n + 1, n + 2};
-    return out;
+  cb.expand = [limit](const int& n, std::uint64_t, Expansion<int>& out) {
+    if (n >= limit) return;
+    for (const int child : {n + 1, n + 2}) {
+      const auto key = static_cast<std::uint64_t>(child);
+      if (out.fresh(key)) out.push(int{child}, key);
+    }
   };
   cb.hash = [](const int& n) { return static_cast<std::uint64_t>(n); };
   cb.evaluate = [](std::span<const int> batch) {
@@ -263,7 +291,7 @@ TEST(PipelinedSearchTest, EvalStallIsRecorded) {
 // A failure in child generation other than a budget cut escapes the search.
 TEST(PipelinedSearchTest, SpeculationExceptionPropagates) {
   auto cb = tree_callbacks(10, 500);
-  cb.children = [](const int&) -> std::vector<int> {
+  cb.expand = [](const int&, std::uint64_t, Expansion<int>&) {
     throw std::runtime_error("children failed");
   };
   SearchOptions opt;
