@@ -252,15 +252,53 @@ SchedulingResult SchedulingProblem::greedy_feasible(const ProbDeadline& req,
       wave.clear();
       while (wave.size() < width && promote_next(tip)) wave.push_back(tip);
     }
-    // The serial chain counted one more state than it scored when it ran
-    // out of promotions; the count is fingerprinted, so it is kept.
-    if (!result.found) ++resolved;
   } catch (const util::BudgetExhaustedError&) {
     // Anytime cut: the plan and evaluation of the last resolved chain plan
     // stand.
   }
   result.stats.states_evaluated = resolved;
   return result;
+}
+
+bool SchedulingProblem::chain_end_fails_screen(const ProbDeadline& req,
+                                               cloud::RegionId region) {
+  const auto top =
+      static_cast<cloud::TypeId>(estimator_->catalog().type_count() - 1);
+  const sim::Plan end = sim::Plan::uniform(wf_->task_count(), top, region);
+  bool fails = false;
+  try {
+    fails = !evaluator_
+                 .evaluate_batch_screened(std::span<const sim::Plan>(&end, 1),
+                                          req)[0]
+                 .eval.feasible;
+  } catch (const util::BudgetExhaustedError&) {
+  }
+  // A fired budget leaves the verdict undecided: the solve carries on as if
+  // the screen had passed, and the budget cuts it the usual way.
+  const util::BudgetTracker* const budget = evaluator_.budget();
+  return fails && (budget == nullptr || !budget->exhausted());
+}
+
+SchedulingResult SchedulingProblem::solve_full_mc(
+    const ProbDeadline& req, const SchedulingOptions& options,
+    const SearchStats& screened_work) {
+  DECO_OBS_COUNTER_ADD("search.screen_fallbacks", 1);
+  // The mode comes back even when the re-solve throws, as BudgetScope does
+  // for the budget.
+  struct ModeScope {
+    PlanEvaluator& evaluator;
+    EstimatorMode prev;
+    ~ModeScope() { evaluator.set_estimator_mode(prev); }
+  } mode_scope{evaluator_, evaluator_.options().estimator};
+  evaluator_.set_estimator_mode(EstimatorMode::kMc);
+  SchedulingResult fallback = solve(req, options);
+  fallback.stats.states_evaluated += screened_work.states_evaluated;
+  fallback.stats.states_pruned += screened_work.states_pruned;
+  if (options.search.budget != nullptr) {
+    fallback.budget =
+        options.search.budget->report(fallback.stats.states_evaluated);
+  }
+  return fallback;
 }
 
 SchedulingResult SchedulingProblem::solve(const ProbDeadline& req,
@@ -282,6 +320,19 @@ SchedulingResult SchedulingProblem::solve(const ProbDeadline& req,
   } budget_scope{evaluator_, evaluator_.budget()};
   evaluator_.set_budget(budget);
 
+  const bool screened = evaluator_.options().estimator != EstimatorMode::kMc;
+  // Screened modes score the greedy chain's end first.  When even the
+  // all-fastest plan fails the screen, the screened pass (whose chain ends
+  // on that plan) has not been seen to find a verified plan, and its
+  // fallback would return the `mc` answer anyway: go straight to that
+  // re-solve.  The chain end counts as one state.
+  if (screened && chain_end_fails_screen(req, options.region)) {
+    DECO_OBS_COUNTER_ADD("search.screen_skips", 1);
+    SearchStats screened_work;
+    screened_work.states_evaluated = 1;
+    return solve_full_mc(req, options, screened_work);
+  }
+
   SearchCallbacks<sim::Plan> cb;
   cb.hash = plan_hash;
   cb.expand = [this](const sim::Plan& plan, std::uint64_t key,
@@ -291,7 +342,6 @@ SchedulingResult SchedulingProblem::solve(const ProbDeadline& req,
   // adaptive QMC, and each analytic rejection is a pruned state (the math
   // discarded it before any sampling — the counter the `search.states_pruned`
   // metric reports).  Under kMc the wave is plain full MC.
-  const bool screened = evaluator_.options().estimator != EstimatorMode::kMc;
   std::size_t screen_rejections = 0;
   // Screen-feasible states, kept so Tier 2 can fall back to the runner-ups
   // if the search winner fails full-MC verification.
@@ -425,17 +475,7 @@ SchedulingResult SchedulingProblem::solve(const ProbDeadline& req,
   // cost of the rare solve that was about to fail anyway.
   const bool exhausted = budget != nullptr && budget->exhausted();
   if (screened && !result.found && !exhausted) {
-    DECO_OBS_COUNTER_ADD("search.screen_fallbacks", 1);
-    const EstimatorMode saved = evaluator_.options().estimator;
-    evaluator_.set_estimator_mode(EstimatorMode::kMc);
-    SchedulingResult fallback = solve(req, options);
-    evaluator_.set_estimator_mode(saved);
-    fallback.stats.states_evaluated += result.stats.states_evaluated;
-    fallback.stats.states_pruned += result.stats.states_pruned;
-    if (budget != nullptr) {
-      fallback.budget = budget->report(fallback.stats.states_evaluated);
-    }
-    return fallback;
+    return solve_full_mc(req, options, result.stats);
   }
   if (result.found && !exhausted) {
     // Polish and consolidation refine an already-valid plan; under an

@@ -77,8 +77,8 @@ class SchedulingProblem {
   /// modes a wave's screen-feasible plans are verified in full MC in chain
   /// order.  The first plan that resolves feasible is returned — the same
   /// plan and evaluation a one-plan-at-a-time chain returns.
-  /// stats.states_evaluated counts chain plans up to that one (plus one when
-  /// the chain runs out of promotions); plans scored past it go to the
+  /// stats.states_evaluated counts chain plans up to that one (all of them
+  /// when the chain runs out of promotions); plans scored past it go to the
   /// search.greedy_speculative counter.
   SchedulingResult greedy_feasible(const ProbDeadline& req,
                                    cloud::RegionId region = 0,
@@ -111,6 +111,19 @@ class SchedulingProblem {
   /// critical-path task (or, with the path maxed, the slowest promotable
   /// task anywhere).  False, with `plan` unchanged, once every task is maxed.
   bool promote_next(sim::Plan& plan);
+
+  /// Screened modes: whether the greedy chain's last plan (every task on
+  /// the top type in `region`) fails the screen.  False once the armed
+  /// budget has fired.
+  bool chain_end_fails_screen(const ProbDeadline& req,
+                              cloud::RegionId region);
+
+  /// The screened solve's fallback: the same solve under kMc, which returns
+  /// exactly the `mc` answer, with `screened_work`'s evaluated and pruned
+  /// states added to its stats.
+  SchedulingResult solve_full_mc(const ProbDeadline& req,
+                                 const SchedulingOptions& options,
+                                 const SearchStats& screened_work);
 
   const workflow::Workflow* wf_;
   TaskTimeEstimator* estimator_;

@@ -572,7 +572,9 @@ int cmd_stats(const CliArgs& args, std::ostream& out) {
         << " accepted, " << counter("eval.screen.rejected") << " rejected, "
         << counter("eval.screen.escalated") << " escalated; qmc early stops "
         << counter("eval.qmc.early_stops") << ", iterations saved "
-        << counter("eval.qmc.iterations_saved") << "\n";
+        << counter("eval.qmc.iterations_saved") << "; full-MC re-solves "
+        << counter("search.screen_fallbacks") << " ("
+        << counter("search.screen_skips") << " skipped the screened pass)\n";
   }
   // At-a-glance WLog VM summary when a declarative solve ran (the wlog.vm.*
   // counters also appear in the counters table above).

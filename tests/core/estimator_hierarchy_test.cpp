@@ -26,6 +26,7 @@ namespace deco::core {
 namespace {
 
 using testing::ec2;
+using testing::medium_deadline;
 using testing::store;
 
 std::vector<workflow::Workflow> paper_workflows() {
@@ -58,22 +59,6 @@ std::vector<sim::Plan> make_wave(const workflow::Workflow& wf,
     plans.push_back(std::move(p));
   }
   return plans;
-}
-
-/// A deadline between the all-fast and all-slow expected makespans, so the
-/// wave straddles the feasibility frontier and all three verdicts occur.
-double medium_deadline(const workflow::Workflow& wf) {
-  TaskTimeEstimator estimator(ec2(), store());
-  vgpu::SerialBackend backend;
-  PlanEvaluator evaluator(wf, estimator, backend);
-  const auto top = static_cast<cloud::TypeId>(ec2().type_count() - 1);
-  const double fast =
-      evaluator.evaluate(sim::Plan::uniform(wf.task_count(), top), {0.5, 1e12})
-          .mean_makespan;
-  const double slow =
-      evaluator.evaluate(sim::Plan::uniform(wf.task_count(), 0), {0.5, 1e12})
-          .mean_makespan;
-  return 0.5 * (fast + slow);
 }
 
 TEST(EstimatorModeTest, ParsesAndRoundTrips) {

@@ -587,6 +587,26 @@ TEST(CliRunTest, StatsRendersMetricsSummary) {
   }
 }
 
+TEST(CliRunTest, StatsCountsTheSkippedScreenedPass) {
+  const std::string dax = temp_path("cli_stats_skip.dax");
+  std::ostringstream gen;
+  ASSERT_EQ(run_cli(parse({"generate", "--app", "pipeline", "--tasks", "4",
+                           "--out", dax}),
+                    gen),
+            0);
+  // Not even the all-fastest plan meets a 1 s deadline: the screened solve
+  // goes straight to its full-MC re-solve.
+  std::ostringstream out;
+  const int rc = run_cli(parse({"stats", "--dax", dax, "--deadline", "1"}), out);
+  EXPECT_EQ(rc, 0) << out.str();
+  if (obs::kCompiledIn) {
+    EXPECT_NE(out.str().find("full-MC re-solves 1 (1 skipped the screened "
+                             "pass)"),
+              std::string::npos)
+        << out.str();
+  }
+}
+
 TEST(CliRunTest, MetricsAndTraceOutWriteFiles) {
   const std::string dax = temp_path("cli_obs.dax");
   std::ostringstream gen;
