@@ -74,7 +74,11 @@ struct CaseConfig {
   core::EstimatorMode mode = core::EstimatorMode::kMc;
   std::size_t mc_iterations = 1000;  // the paper's Max_iter default
   std::size_t max_states = 96;
-  int reps = 3;
+  /// Timed solves repeat until both floors are met, then the best is kept.
+  /// A Montage solve takes tens of milliseconds, so three alone leave its
+  /// minimum at the mercy of host load; the time floor gives it dozens.
+  int min_reps = 3;
+  double min_timed_s = 1.0;
 };
 
 Row run_case(const workflow::Workflow& wf, const std::string& backend_name,
@@ -98,13 +102,15 @@ Row run_case(const workflow::Workflow& wf, const std::string& backend_name,
   // least-interference estimate on a shared host.
   (void)problem.solve(req, opt);
   double best = 1e300;
+  double timed = 0;
   core::SearchStats stats;
-  for (int rep = 0; rep < cfg.reps; ++rep) {
+  for (int rep = 0; rep < cfg.min_reps || timed < cfg.min_timed_s; ++rep) {
     const auto t0 = std::chrono::steady_clock::now();
     const auto result = problem.solve(req, opt);
     const double dt =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count();
+    timed += dt;
     if (dt < best) {
       best = dt;
       stats = result.stats;
@@ -369,7 +375,8 @@ int main(int argc, char** argv) {
   if (smoke) {
     mc_cfg.mc_iterations = auto_cfg.mc_iterations = 64;
     mc_cfg.max_states = auto_cfg.max_states = 16;
-    mc_cfg.reps = auto_cfg.reps = 1;
+    mc_cfg.min_reps = auto_cfg.min_reps = 1;
+    mc_cfg.min_timed_s = auto_cfg.min_timed_s = 0;
   }
 
   std::vector<Row> rows;

@@ -1,6 +1,6 @@
 // Use case 2 (Section 3.2): planning a workflow ensemble under a budget and
-// per-workflow probabilistic deadlines — Deco's A*-searched admission vs the
-// SPSS baseline.
+// per-workflow probabilistic deadlines — Deco's priority-order admission vs
+// the SPSS baseline.
 //
 // Build & run:  ./examples/ensemble_planning
 #include <cstdio>

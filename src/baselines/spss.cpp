@@ -1,8 +1,6 @@
 #include "baselines/spss.hpp"
 
-#include <algorithm>
-#include <cmath>
-#include <numeric>
+#include <cstdint>
 
 namespace deco::baselines {
 
@@ -14,21 +12,12 @@ Spss::Spss(const cloud::Catalog& catalog, const cloud::MetadataStore& store,
       options_(options) {}
 
 SpssResult Spss::plan(const workflow::Ensemble& ensemble) {
-  SpssResult result;
   const std::size_t n = ensemble.members.size();
-  result.admitted.assign(n, false);
+  SpssResult result;
   result.plans.resize(n);
   result.member_costs.assign(n, 0);
-
-  // Process in priority order (0 = highest first).
-  std::vector<std::size_t> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return ensemble.members[a].priority < ensemble.members[b].priority;
-  });
-
-  double spent = 0;
-  for (std::size_t idx : order) {
+  std::vector<std::uint8_t> feasible(n, 0);
+  for (std::size_t idx = 0; idx < n; ++idx) {
     const auto& member = ensemble.members[idx];
     core::TaskTimeEstimator estimator(*catalog_, *store_, options_.estimator);
     // Static plan: Autoscaling-style deadline distribution, no
@@ -36,7 +25,7 @@ SpssResult Spss::plan(const workflow::Ensemble& ensemble) {
     Autoscaling planner(member.workflow, estimator);
     AutoscalingOptions aopt;
     aopt.region = options_.region;
-    const AutoscalingResult plan = planner.solve(member.deadline_s, aopt);
+    result.plans[idx] = planner.solve(member.deadline_s, aopt).plan;
 
     // Planned cost and deadline check against the probabilistic evaluator
     // (the plan itself was made with deterministic estimates — SPSS's model).
@@ -45,16 +34,23 @@ SpssResult Spss::plan(const workflow::Ensemble& ensemble) {
     core::ProbDeadline req;
     req.quantile = member.deadline_q / 100.0;
     req.deadline_s = member.deadline_s;
-    const core::PlanEvaluation eval = evaluator.evaluate(plan.plan, req);
-    if (!eval.feasible) continue;  // cannot complete: don't waste budget
-    if (spent + eval.mean_cost > ensemble.budget) continue;
-    spent += eval.mean_cost;
-    result.admitted[idx] = true;
-    result.plans[idx] = plan.plan;
+    const core::PlanEvaluation eval =
+        evaluator.evaluate(result.plans[idx], req);
+    feasible[idx] = eval.feasible;  // cannot complete: don't waste budget
     result.member_costs[idx] = eval.mean_cost;
-    result.score += std::pow(2.0, -member.priority);
   }
-  result.total_cost = spent;
+
+  // Admit in priority order while the cumulative planned cost fits.
+  workflow::Admission admission =
+      ensemble.admit(result.member_costs, feasible);
+  result.admitted = std::move(admission.admitted);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (result.admitted[i]) continue;
+    result.plans[i] = sim::Plan{};
+    result.member_costs[i] = 0;
+  }
+  result.total_cost = admission.total_cost;
+  result.score = ensemble.score(result.admitted);
   return result;
 }
 

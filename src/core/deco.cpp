@@ -111,30 +111,16 @@ WlogEnsembleResult Deco::solve_ensemble_program(
   }
 
   // Per-member cheapest deadline-feasible plans feed the wfcost facts.
-  const std::size_t n = ensemble.members.size();
-  std::vector<double> costs(n, 0);
-  std::vector<bool> feasible(n, false);
-  result.plans.resize(n);
   EnsemblePlanOptions popt;
   popt.per_workflow.search.budget = options_.budget;
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto& member = ensemble.members[i];
-    TaskTimeEstimator estimator(*catalog_, *store_, options_.estimator);
-    SchedulingProblem problem(member.workflow, estimator, *backend_,
-                              options_.ensemble_eval);
-    ProbDeadline req;
-    req.quantile = member.deadline_q / 100.0;
-    req.deadline_s = member.deadline_s;
-    const SchedulingResult sr = problem.solve(req, popt.per_workflow);
-    feasible[i] = sr.found;
-    if (sr.found) {
-      costs[i] = sr.evaluation.mean_cost;
-      result.plans[i] = sr.plan;
-    }
-  }
+  EnsemblePlanner planner(*catalog_, *store_, *backend_,
+                          options_.ensemble_eval, options_.estimator);
+  EnsemblePlanner::MemberPlans members = planner.solve_members(ensemble, popt);
+  result.plans = std::move(members.plans);
+  result.member_costs = std::move(members.costs);
 
-  const wlog::ProbProgram ir =
-      build_ensemble_ir(parsed.program, ensemble, costs, feasible);
+  const wlog::ProbProgram ir = build_ensemble_ir(
+      parsed.program, ensemble, result.member_costs, members.feasible);
   DeclarativeOptions dopt;
   dopt.max_states = options_.wlog_max_states;
   dopt.mc_iterations = options_.wlog_mc_iterations;
@@ -152,6 +138,7 @@ WlogEnsembleResult Deco::solve_ensemble_program(
   result.ok = true;
   result.goal_value = solved.goal_value;
   result.feasible = solved.feasible;
+  const std::size_t n = ensemble.members.size();
   result.admitted.assign(n, false);
   for (std::size_t i = 0; i < n && i < solved.assignment.size(); ++i) {
     result.admitted[i] = solved.assignment[i] != 0;

@@ -81,7 +81,8 @@ struct WlogEnsembleResult {
   std::string error;
   std::vector<bool> admitted;
   std::vector<sim::Plan> plans;  ///< per member; empty when not admitted
-  double goal_value = 0;         ///< the program's goal (e.g. total score)
+  std::vector<double> member_costs;  ///< per member: its wfcost fact
+  double goal_value = 0;  ///< the program's goal (e.g. total score)
   bool feasible = false;
   SearchStats stats;
 };

@@ -4,15 +4,21 @@
 // subject to an ensemble-wide budget (Eq. 5) and per-workflow probabilistic
 // deadlines (Eq. 6).
 //
-// Implementation per Section 6.3.2: "a state in the search space is
-// implemented as an array of boolean values, where each dimension indicates
-// whether to execute a workflow in the ensemble.  We enable the A* search by
-// specifying the g and h score of a search state s as the Score metric of s.
-// Initially, all dimensions are set to false ...  For state transitions, we
-// consider executing each of the uncompleted workflows."  Each admitted
-// workflow runs under its cheapest deadline-feasible plan found by the
-// workflow-scheduling solver (which applies the transformation operations —
-// the source of Deco's cost advantage over SPSS).
+// The paper writes admission as an A* search (Section 6.3.2): "a state in
+// the search space is implemented as an array of boolean values, where each
+// dimension indicates whether to execute a workflow in the ensemble.  We
+// enable the A* search by specifying the g and h score of a search state s
+// as the Score metric of s.  Initially, all dimensions are set to false ...
+// For state transitions, we consider executing each of the uncompleted
+// workflows."  With distinct priorities each member's score exceeds the sum
+// of all lower-priority scores, so greedy admission in priority order is
+// exactly optimal (the proof is at workflow::Ensemble::admit), and this
+// native planner uses it with no search.  The declarative path
+// (Deco::solve_ensemble_program over `ensemble.wlog`) keeps the paper's A*
+// formulation.  Each admitted workflow runs under its cheapest
+// deadline-feasible plan found by the workflow-scheduling solver (which
+// applies the transformation operations — the source of Deco's cost
+// advantage over SPSS).
 #pragma once
 
 #include <cstdint>
@@ -25,7 +31,6 @@
 namespace deco::core {
 
 struct EnsemblePlanOptions {
-  SearchOptions search;
   SchedulingOptions per_workflow;  ///< options for each member's plan search
   /// Sharding for per-member plan scoring — the dominant cost of ensemble
   /// planning is one full scheduling solve per member, and the solves are
@@ -38,9 +43,6 @@ struct EnsemblePlanOptions {
   /// admissions (tests/sim/ensemble_shard_test.cpp).
   sim::EnsembleOptions exec;
   EnsemblePlanOptions() {
-    search.max_states = 4096;
-    search.batch_size = 64;
-    search.minimize = false;  // maximize score
     per_workflow.search.max_states = 64;
     per_workflow.search.stale_wave_limit = 6;
   }
@@ -50,22 +52,9 @@ struct EnsemblePlanResult {
   std::vector<bool> admitted;        ///< per member
   std::vector<sim::Plan> plans;      ///< per member (empty if not admitted)
   std::vector<double> member_costs;  ///< expected cost of each member's plan
-  double total_cost = 0;             ///< expected cost of admitted members
-  double score = 0;                  ///< Eq. 4
-  SearchStats stats;
+  double total_cost = 0;  ///< expected cost of admitted members, <= budget
+  double score = 0;       ///< Eq. 4
 };
-
-/// Search key of an admission vector (the additive key of core/search.hpp
-/// over the 0/1 admissions).
-std::uint64_t admission_key(const std::vector<bool>& admitted);
-
-/// The admission search's transition: each child admits one more feasible
-/// member, and children whose cost exceeds `budget` are not generated (cost
-/// is monotone in admissions).  Child keys are rekeys of `key`.
-void expand_admissions(const std::vector<bool>& admitted, std::uint64_t key,
-                       const std::vector<std::uint8_t>& feasible,
-                       const std::vector<double>& member_costs, double budget,
-                       Expansion<std::vector<bool>>& out);
 
 class EnsemblePlanner {
  public:
@@ -84,6 +73,19 @@ class EnsemblePlanner {
                       }(),
                   EstimatorOptions estimator = {});
 
+  /// Each member's cheapest deadline-feasible plan: one scheduling solve
+  /// per member, serial on the planner's backend or sharded per
+  /// `options.exec`.
+  struct MemberPlans {
+    std::vector<sim::Plan> plans;  ///< empty where no feasible plan was found
+    std::vector<double> costs;     ///< expected cost; 0 where infeasible
+    /// Byte-wide so sharded solves each write only their own slot.
+    std::vector<std::uint8_t> feasible;
+  };
+  MemberPlans solve_members(const workflow::Ensemble& ensemble,
+                            const EnsemblePlanOptions& options = {});
+
+  /// solve_members, then workflow::Ensemble::admit.
   EnsemblePlanResult plan(const workflow::Ensemble& ensemble,
                           const EnsemblePlanOptions& options = {});
 

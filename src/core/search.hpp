@@ -1,9 +1,10 @@
 // Parallel solver: generic search (Algorithm 2) and A* search (Section 5.3).
 //
 // The solver is generic over the state type: the workflow-scheduling problem
-// searches instance-configuration plans, the ensemble problem searches
-// admission vectors, follow-the-cost searches migration vectors.  States are
-// evaluated in *batches* so the backend can assign one block per state —
+// searches instance-configuration plans, the declarative solver searches WLog
+// variable assignments (the ensemble program among them), follow-the-cost
+// searches migration vectors.  States are evaluated in *batches* so the
+// backend can assign one block per state —
 // "we use N thread blocks to search the solution space at the same time".
 // Exploration (breadth-first) is chosen over exploitation for parallelism,
 // exactly as Section 5.3 argues.
@@ -126,9 +127,9 @@ inline void record_search_metrics(const char* kind, const SearchStats& stats) {
 /// key_term is a splitmix64 finalizer over a position-salted value.  A move
 /// that changes one position therefore rekeys in O(1):
 ///   key - key_term(i, old) + key_term(i, new),
-/// and a duplicate child is rejected before it is built.  All four search
-/// users (plans, WLog assignments, ensemble admissions, region vectors) key
-/// their states this way.
+/// and a duplicate child is rejected before it is built.  All three search
+/// users (plans, WLog assignments, region vectors) key their states this
+/// way.
 inline std::uint64_t key_term(std::size_t position, std::uint64_t value) {
   std::uint64_t z =
       value + 0x9E3779B97F4A7C15ULL * (static_cast<std::uint64_t>(position) + 1);

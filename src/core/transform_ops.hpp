@@ -1,7 +1,8 @@
 // Workflow transformation operations (Section 5.3, citing the authors' TCC
 // paper "Transformation-based Monetary Cost Optimizations for Workflows in
-// the Cloud").  State transitions in the generic search are generated by six
-// operations; in the plan representation of this repository they act as:
+// the Cloud").  The paper generates the generic search's state transitions
+// with six operations; in the plan representation of this repository they
+// act as:
 //
 //   Promote(t)      — move task t to the next more powerful instance type.
 //   Demote(t)       — move task t to the next cheaper instance type.
@@ -14,6 +15,10 @@
 //                     Merge/CoSchedule/Move for t).
 //
 // Each generator returns the child states produced by one operation class.
+// The scheduling search does not call them: SchedulingProblem::expand
+// promotes along the critical path directly, with parent-relative keys, and
+// apply_op runs only in transform_ops_test.  Bringing the other five
+// operations into the search is ROADMAP item 8.
 #pragma once
 
 #include <string>
@@ -33,7 +38,9 @@ std::string to_string(TransformOp op);
 struct TransformOptions {
   /// Restrict Promote/Demote generation to these tasks (empty = all tasks),
   /// e.g. the current critical path, so the branching factor stays
-  /// proportional to the path, not the workflow.
+  /// proportional to the path, not the workflow.  (The scheduling search
+  /// restricts its own promotions to the critical path in
+  /// SchedulingProblem::expand and does not go through this option.)
   std::vector<workflow::TaskId> focus_tasks;
 };
 

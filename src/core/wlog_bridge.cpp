@@ -126,10 +126,10 @@ wlog::ProbProgram WlogBridge::bind_plan(const wlog::ProbProgram& ir,
   return bound;
 }
 
-wlog::ProbProgram build_ensemble_ir(const wlog::Program& program,
-                                    const workflow::Ensemble& ensemble,
-                                    std::span<const double> member_costs,
-                                    const std::vector<bool>& member_feasible) {
+wlog::ProbProgram build_ensemble_ir(
+    const wlog::Program& program, const workflow::Ensemble& ensemble,
+    std::span<const double> member_costs,
+    std::span<const std::uint8_t> member_feasible) {
   wlog::ProbProgram ir = wlog::translate_rules(program);
   for (std::size_t i = 0; i < ensemble.members.size(); ++i) {
     const std::string atom = "w" + std::to_string(i);

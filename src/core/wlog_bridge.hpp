@@ -24,6 +24,7 @@
 // totalcost/maxtime (and region-residency/failover) queries per world.
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <string>
 
@@ -74,10 +75,10 @@ class WlogBridge {
 ///   budget_limit(B).
 /// Costs and deadline feasibility come from each member's cheapest
 /// deadline-feasible plan (computed by the scheduling solver).
-wlog::ProbProgram build_ensemble_ir(const wlog::Program& program,
-                                    const workflow::Ensemble& ensemble,
-                                    std::span<const double> member_costs,
-                                    const std::vector<bool>& member_feasible);
+wlog::ProbProgram build_ensemble_ir(
+    const wlog::Program& program, const workflow::Ensemble& ensemble,
+    std::span<const double> member_costs,
+    std::span<const std::uint8_t> member_feasible);
 
 /// Migration facts for declarative follow-the-cost programs (use case 3):
 ///   wkf(w_i).  region(r_j).  current(w_i, r_j).

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <utility>
 
 #include "util/distributions.hpp"
 
@@ -31,6 +32,24 @@ double Ensemble::max_score() const {
   double acc = 0;
   for (const auto& m : members) acc += std::pow(2.0, -m.priority);
   return acc;
+}
+
+Admission Ensemble::admit(const std::vector<double>& costs,
+                          const std::vector<std::uint8_t>& feasible) const {
+  std::vector<std::size_t> order(members.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    return std::pair(members[a].priority, a) <
+           std::pair(members[b].priority, b);
+  });
+  Admission admission;
+  admission.admitted.assign(members.size(), false);
+  for (std::size_t i : order) {
+    if (!feasible[i] || admission.total_cost + costs[i] > budget) continue;
+    admission.total_cost += costs[i];
+    admission.admitted[i] = true;
+  }
+  return admission;
 }
 
 Ensemble make_ensemble(const EnsembleOptions& options, util::Rng& rng) {

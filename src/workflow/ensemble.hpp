@@ -7,6 +7,7 @@
 // largest first by priority), and Pareto sorted/unsorted (heavy-tailed sizes).
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -38,6 +39,12 @@ struct EnsembleMember {
   double deadline_q = 96;  ///< probabilistic deadline percentile p_w
 };
 
+/// Outcome of Ensemble::admit.
+struct Admission {
+  std::vector<bool> admitted;  ///< per member
+  double total_cost = 0;  ///< the running total the budget check used
+};
+
 struct Ensemble {
   std::string name;
   EnsembleType type = EnsembleType::kConstant;
@@ -49,6 +56,25 @@ struct Ensemble {
   double score(const std::vector<bool>& completed) const;
   /// Score if every member completes.
   double max_score() const;
+
+  /// The admission optimizer of use case 2: maximizes score() over the
+  /// members with `feasible` set whose summed `costs` stay within `budget`
+  /// (Eqs. 4-5).  Members are taken in (priority, member index) order, and
+  /// a feasible member is admitted when the running total plus its cost is
+  /// <= budget.  `total_cost` is that running total, so it is <= budget
+  /// exactly.
+  ///
+  /// Precondition: priorities are distinct (make_ensemble assigns 0..n-1)
+  /// and costs are non-negative.  Then the greedy set G is the unique
+  /// optimum.  Take any other budget-feasible set S and let m be the
+  /// highest-priority member on which G and S differ.  Above m they hold
+  /// the same members, so if S held m, S's running total at m would equal
+  /// the one greedy rejected m with, and later non-negative costs only
+  /// raise it: S would be over budget.  So m is in G and not in S, and
+  /// 2^-p(m) exceeds the sum of every lower-priority member's score, hence
+  /// score(G) > score(S).
+  Admission admit(const std::vector<double>& costs,
+                  const std::vector<std::uint8_t>& feasible) const;
 };
 
 struct EnsembleOptions {

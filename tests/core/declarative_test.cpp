@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -362,6 +363,35 @@ TEST(WlogEnsembleTest, MatchesNativePlannerScore) {
   ASSERT_TRUE(declarative.ok) << declarative.error;
   const auto native = engine.plan_ensemble(e, popt);
   EXPECT_NEAR(declarative.goal_value, native.score, 0.26);
+}
+
+TEST(WlogEnsembleTest, MemberPlansMatchNativePlanner) {
+  // Both paths take their per-member plans from one solve loop, so with a
+  // budget that admits everyone the plans and costs agree bit for bit.
+  auto e = tiny_ensemble();
+  e.budget = 1e9;
+  core::DecoOptions opt;
+  opt.backend = "serial";
+  opt.wlog_max_states = 64;
+  Deco engine(ec2(), store(), opt);
+  const auto declarative =
+      engine.solve_ensemble_program(ensemble_program(1e9), e);
+  ASSERT_TRUE(declarative.ok) << declarative.error;
+  const auto native = engine.plan_ensemble(e);
+  const auto hex = [](double v) {
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), "%a", v);
+    return std::string(buf);
+  };
+  ASSERT_EQ(declarative.plans.size(), e.members.size());
+  ASSERT_EQ(declarative.member_costs.size(), e.members.size());
+  for (std::size_t i = 0; i < e.members.size(); ++i) {
+    ASSERT_TRUE(native.admitted[i]) << "member " << i;
+    EXPECT_GT(native.plans[i].size(), 0u) << "member " << i;
+    EXPECT_EQ(declarative.plans[i], native.plans[i]) << "member " << i;
+    EXPECT_EQ(hex(declarative.member_costs[i]), hex(native.member_costs[i]))
+        << "member " << i;
+  }
 }
 
 // --- use case 3 declaratively: follow-the-cost over migration facts -------

@@ -1,4 +1,4 @@
-// Parent-relative child keys: for each of the four search users, every key
+// Parent-relative child keys: for each of the three search users, every key
 // its transition derives in O(1) from the parent's key equals the
 // from-scratch key of the child it pushed, along random child walks (the
 // walk keeps the derived keys, so an error would compound step by step).
@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "core/declarative.hpp"
-#include "core/ensemble_planner.hpp"
 #include "core/followcost.hpp"
 #include "core/scheduling.hpp"
 #include "core/search.hpp"
@@ -111,26 +110,6 @@ TEST(SearchKeyTest, DeclarativeAssignmentKeysMatchScratchKey) {
         assignment_key);
     EXPECT_GT(checked, 0u);
   }
-}
-
-TEST(SearchKeyTest, EnsembleAdmissionKeysMatchScratchKey) {
-  util::Rng rng(17);
-  const std::size_t n = 30;
-  std::vector<std::uint8_t> feasible(n);
-  std::vector<double> costs(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    feasible[i] = rng.uniform() < 0.8 ? 1 : 0;
-    costs[i] = 1 + 9 * rng.uniform();
-  }
-  const double budget = 100;
-  const std::size_t checked = walk(
-      std::vector<bool>(n, false), 200, 23,
-      [&](const std::vector<bool>& bits, std::uint64_t key,
-          Expansion<std::vector<bool>>& out) {
-        expand_admissions(bits, key, feasible, costs, budget, out);
-      },
-      admission_key);
-  EXPECT_GT(checked, 0u);
 }
 
 TEST(SearchKeyTest, FollowCostRegionKeysMatchScratchKey) {

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <numeric>
 #include <set>
+#include <vector>
 
 namespace deco::workflow {
 namespace {
@@ -91,6 +96,76 @@ TEST(EnsembleTest, ScoreHandlesShortCompletionVector) {
   e.members.push_back(std::move(m));
   e.members.push_back(EnsembleMember{});
   EXPECT_DOUBLE_EQ(e.score({true}), 1.0);
+}
+
+TEST(EnsembleTest, AdmitMatchesBruteForceOptimum) {
+  // Every subset of up to 16 members, against the greedy admission.  Costs
+  // are multiples of 1/4 and priorities stay below 48, so every cost sum and
+  // every score sum is exact and the brute force may sum in any order.
+  util::Rng rng(2015);
+  for (std::size_t n = 1; n <= 16; ++n) {
+    const int reps = n <= 12 ? 6 : 2;
+    for (int rep = 0; rep < reps; ++rep) {
+      // Distinct priorities with gaps, shuffled across members.
+      std::vector<int> pool(3 * n);
+      std::iota(pool.begin(), pool.end(), 0);
+      for (std::size_t i = pool.size(); i > 1; --i) {
+        std::swap(pool[i - 1], pool[rng.below(i)]);
+      }
+      Ensemble e;
+      std::vector<double> costs(n);
+      std::vector<std::uint8_t> feasible(n);
+      double total = 0;
+      for (std::size_t i = 0; i < n; ++i) {
+        EnsembleMember m;
+        m.priority = pool[i];
+        e.members.push_back(std::move(m));
+        costs[i] = static_cast<double>(rng.below(400)) / 4;
+        feasible[i] = rng.uniform() >= 0.1 ? 1 : 0;
+        total += costs[i];
+      }
+
+      // Cost and score of every subset, built from the subset without its
+      // lowest-index member.
+      const std::size_t subsets = std::size_t{1} << n;
+      std::vector<double> cost(subsets, 0);
+      std::vector<double> score(subsets, 0);
+      std::vector<std::uint8_t> allowed(subsets, 1);
+      for (std::size_t mask = 1; mask < subsets; ++mask) {
+        const auto low = static_cast<std::size_t>(std::countr_zero(mask));
+        const std::size_t rest = mask & (mask - 1);
+        cost[mask] = cost[rest] + costs[low];
+        score[mask] = score[rest] + std::ldexp(1.0, -e.members[low].priority);
+        allowed[mask] = allowed[rest] && feasible[low];
+      }
+
+      std::vector<double> budgets = {0, total, total + 1};
+      for (int k = 1; k < 8; ++k) budgets.push_back(total * k / 8);
+      for (int k = 0; k < 4; ++k) {  // exactly on a subset's cost
+        budgets.push_back(cost[rng.below(subsets)]);
+      }
+      for (const double budget : budgets) {
+        e.budget = budget;
+        std::size_t best = 0;
+        for (std::size_t mask = 1; mask < subsets; ++mask) {
+          if (allowed[mask] && cost[mask] <= budget &&
+              score[mask] > score[best]) {
+            best = mask;
+          }
+        }
+        const Admission got = e.admit(costs, feasible);
+        std::size_t got_mask = 0;
+        for (std::size_t i = 0; i < n; ++i) {
+          if (got.admitted[i]) got_mask |= std::size_t{1} << i;
+        }
+        ASSERT_EQ(got_mask, best) << "n " << n << " rep " << rep
+                                  << " budget " << budget;
+        EXPECT_EQ(e.score(got.admitted), score[best]);
+        EXPECT_EQ(got.total_cost, cost[best]);
+        EXPECT_LE(got.total_cost, budget);
+      }
+    }
+  }
 }
 
 TEST(EnsembleTest, AllMembersAcyclic) {
