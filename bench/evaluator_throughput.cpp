@@ -10,7 +10,8 @@
 // the rows.  Results go to stdout and to BENCH_evaluator.json so the perf
 // trajectory is tracked across PRs.
 //
-//   states/sec  = evaluated plans per second (one vgpu block per plan)
+//   states/sec  = evaluated plans per second (one vgpu block per plan for
+//                 the sampling tiers, one per run of 8 plans for the screen)
 //   samples/sec = task-samples per second (plans x MC lanes x tasks)
 //
 // Usage: evaluator_throughput [output.json] [--smoke]
@@ -172,15 +173,19 @@ bool write_json(const std::vector<Row>& rows, const std::string& path) {
     total.qmc_early_stops += r.screen.qmc_early_stops;
     total.qmc_iterations_used += r.screen.qmc_iterations_used;
     total.qmc_iterations_saved += r.screen.qmc_iterations_saved;
+    total.positions += r.screen.positions;
+    total.positions_recomputed += r.screen.positions_recomputed;
   }
   std::fprintf(f,
                "  ],\n  \"screening\": {\"screened\": %zu, \"accepted\": %zu, "
                "\"rejected\": %zu, \"escalated\": %zu, \"qmc_early_stops\": "
                "%zu, \"qmc_iterations_used\": %zu, \"qmc_iterations_saved\": "
-               "%zu, \"speedup_vs_mc\": [",
+               "%zu, \"positions\": %zu, \"positions_recomputed\": %zu, "
+               "\"speedup_vs_mc\": [",
                total.screened, total.accepted, total.rejected, total.escalated,
                total.qmc_early_stops, total.qmc_iterations_used,
-               total.qmc_iterations_saved);
+               total.qmc_iterations_saved, total.positions,
+               total.positions_recomputed);
   bool first = true;
   for (const Row& r : rows) {
     if (r.estimator != "auto") continue;

@@ -74,178 +74,288 @@ double AnalyticEstimator::expected_billed_hours(double mean, double var) {
   return hours;
 }
 
-AnalyticScreen AnalyticEstimator::screen(const sim::Plan& plan,
-                                         const ProbDeadline& req,
-                                         vgpu::BlockContext& ctx) const {
-  AnalyticScreen out;
+ScreenRunCounts AnalyticEstimator::screen(std::span<const sim::Plan> run,
+                                          const ProbDeadline& req,
+                                          vgpu::BlockContext& ctx,
+                                          std::span<AnalyticScreen> out) const {
+  ScreenRunCounts counts;
   const EvalOptions& opt = owner_->options();
   const double required = std::min(req.quantile + opt.feasibility_margin, 1.0);
   const double z_required =
       util::normal_quantile(std::clamp(required, 1e-12, 1.0 - 1e-12));
   const std::size_t n = owner_->wf_->task_count();
-  if (n == 0) {
-    out.deadline_prob = 1.0;
-    out.z_margin = std::numeric_limits<double>::infinity();
-    return out;
-  }
-  if (owner_->topo_.size() != n) {
-    // Cyclic workflow: no finite makespan, mirror the MC path's zeroed,
-    // infeasible result.
-    out.z_margin = -std::numeric_limits<double>::infinity();
-    return out;
+  if (n == 0 || owner_->topo_.size() != n) {
+    // An empty workflow meets any deadline; a cyclic one has no finite
+    // makespan, mirroring the MC path's zeroed, infeasible result.
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    AnalyticScreen trivial;
+    trivial.deadline_prob = n == 0 ? 1.0 : 0.0;
+    trivial.z_margin = n == 0 ? kInf : -kInf;
+    std::fill(out.begin(), out.end(), trivial);
+    return counts;
   }
 
   const bool billed = opt.cost_model == CostModel::kBilledHours;
   const double derated = req.deadline_s / std::max(opt.quantile_safety, 1.0);
-
-  // Prep pass: per-position duration moments and prices, per-slot group
-  // billing constants.  The moments were computed once, when the segment
-  // was staged, so this is one table read per position.
-  std::size_t slots = 0;
-  for (const auto& placement : plan.placements) {
-    slots = std::max(slots, static_cast<std::size_t>(placement.group + 1));
-  }
-  const auto fin_mu = ctx.scratch_doubles(n);   // finish-time mean
-  const auto fin_var = ctx.scratch_doubles(n);  // finish-time variance
-  const auto dyn_mu = ctx.scratch_doubles(n);   // dynamic-time mean
-  const auto dyn_var = ctx.scratch_doubles(n);  // dynamic-time variance
-  const auto cpu = ctx.scratch_doubles(n);      // CPU seconds
-  const auto price_hour = ctx.scratch_doubles(n);  // unit price, USD/h
-  // Per group slot: instance-avail and summed-duration moments, price and
-  // member count.
-  const auto avail_mu = ctx.scratch_doubles(slots);
-  const auto avail_var = ctx.scratch_doubles(slots);
-  const auto gtime_mu = ctx.scratch_doubles(slots);
-  const auto gtime_var = ctx.scratch_doubles(slots);
-  const auto group_price = ctx.scratch_doubles(slots);
-  const auto group_count = ctx.scratch_doubles(slots);
   const auto& catalog = owner_->estimator_->catalog();
-  for (std::size_t p = 0; p < n; ++p) {
-    const workflow::TaskId t = owner_->topo_[p];
-    const auto& seg =
-        owner_->segment_cache_[owner_->segment_slot(t, plan[t].vm_type)];
-    dyn_mu[p] = seg.dyn_mean;
-    dyn_var[p] = seg.dyn_var;
-    cpu[p] = seg.cpu;
-    price_hour[p] = catalog.price(plan[t].vm_type, plan[t].region);
-  }
-  std::fill(group_price.begin(), group_price.end(), 0.0);
-  std::fill(group_count.begin(), group_count.end(), 0.0);
-  for (workflow::TaskId t = 0; t < n; ++t) {
-    if (plan[t].group >= 0) {
-      const auto g = static_cast<std::size_t>(plan[t].group);
-      group_price[g] = catalog.price(plan[t].vm_type, plan[t].region);
-      group_count[g] += 1.0;
-    }
+  const std::vector<workflow::TaskId>& topo = owner_->topo_;
+  const std::size_t* const parent_offsets = owner_->parent_offsets_.data();
+  const std::uint32_t* const parents = owner_->parents_.data();
+  // Conditioning on the interference factor I is what captures the
+  // correlation a single global factor induces: within a quadrature node
+  // every duration scales by the same s = 1/I, so the node's makespan shifts
+  // coherently instead of averaging out.  Each node propagates its own
+  // moments; the nodes are mixed at the end.
+  constexpr std::size_t kNodes = kInterferenceNodes.size();
+  std::array<double, kNodes> speed{};
+  std::array<double, kNodes> speed2{};
+  for (std::size_t k = 0; k < kNodes; ++k) {
+    speed[k] = 1.0 / kInterferenceNodes[k];
+    speed2[k] = speed[k] * speed[k];
   }
 
-  // Propagate once per interference node, then mix.  Conditioning on I is
-  // what captures the correlation a single global factor induces: within a
-  // node every duration scales by the same s = 1/I, so the node's makespan
-  // shifts coherently instead of averaging out.
-  std::array<double, 3> node_mu{};
-  std::array<double, 3> node_var{};
-  std::array<double, 3> node_cost{};
-  for (std::size_t k = 0; k < kInterferenceNodes.size(); ++k) {
-    const double s = 1.0 / kInterferenceNodes[k];
-    const double s2 = s * s;
-    std::fill(avail_mu.begin(), avail_mu.end(), 0.0);
-    std::fill(avail_var.begin(), avail_var.end(), 0.0);
-    std::fill(gtime_mu.begin(), gtime_mu.end(), 0.0);
-    std::fill(gtime_var.begin(), gtime_var.end(), 0.0);
-    double cost = 0;
-    double mk_mu = 0;
-    double mk_var = 0;
-    bool mk_set = false;
+  std::size_t run_slots = 0;
+  for (const sim::Plan& plan : run) {
+    for (const auto& placement : plan.placements) {
+      run_slots =
+          std::max(run_slots, static_cast<std::size_t>(placement.group + 1));
+    }
+  }
+  // Per position, carried from one plan of the run to the next: the placed
+  // type's duration moments (computed once, when the segment was staged)
+  // and unit price, the group predecessor (-2 ungrouped, -1 first on its
+  // instance, else its position) and whether this plan redid its fold.
+  const auto dyn_mu = ctx.scratch_doubles(n);      // dynamic-time mean
+  const auto dyn_var = ctx.scratch_doubles(n);     // dynamic-time variance
+  const auto cpu = ctx.scratch_doubles(n);         // CPU seconds
+  const auto price_hour = ctx.scratch_doubles(n);  // unit price, USD/h
+  const auto group_pred = ctx.scratch_ints(n);
+  const auto redone = ctx.scratch_ints(n);
+  const auto dirty = ctx.scratch_ints(n);  // this plan's redone positions
+  // Per position and node (index kNodes * p + k): finish-time mean and
+  // variance, and the position's term of the node's cost sum.
+  const auto fin_mu = ctx.scratch_doubles(kNodes * n);
+  const auto fin_var = ctx.scratch_doubles(kNodes * n);
+  const auto cost_term = ctx.scratch_doubles(kNodes * n);
+  // Per parent edge and node (index kNodes * e + k): the running Clark fold
+  // of the position's start time after parent e, so a redone fold restarts
+  // at its first redone parent.
+  const std::size_t edges = parent_offsets[n];
+  const auto fold_mu = ctx.scratch_doubles(kNodes * edges);
+  const auto fold_var = ctx.scratch_doubles(kNodes * edges);
+  // Per group slot: the last position placed on it so far, price, member
+  // count and (per node) summed-duration moments.
+  const auto last_member = ctx.scratch_ints(run_slots);
+  const auto group_price = ctx.scratch_doubles(run_slots);
+  const auto group_count = ctx.scratch_doubles(run_slots);
+  const auto gtime_mu = ctx.scratch_doubles(kNodes * run_slots);
+  const auto gtime_var = ctx.scratch_doubles(kNodes * run_slots);
+  // Finish times are monotone along DAG edges, so the makespan is the max
+  // over sinks alone.
+  const auto sinks = ctx.scratch_ints(n);
+  std::size_t sink_count = 0;
+  for (std::size_t p = 0; p < n; ++p) {
+    if (owner_->sink_[p]) sinks[sink_count++] = static_cast<std::int32_t>(p);
+  }
+
+  for (std::size_t i = 0; i < run.size(); ++i) {
+    const sim::Plan& plan = run[i];
+    const sim::Plan* const prev = i == 0 ? nullptr : &run[i - 1];
+    std::size_t slots = 0;
+    for (const auto& placement : plan.placements) {
+      slots = std::max(slots, static_cast<std::size_t>(placement.group + 1));
+    }
+
+    // Dirty pass.  A position's fold reads only its duration moments, its
+    // parents' finishes and its group predecessor's finish, so it is redone
+    // when its type changed, a parent was redone, or its predecessor changed
+    // or was redone; positions come in topological order, so parents and
+    // predecessors are decided first.  A cost term reads the duration
+    // moments, the price and (billed) whether the position bills alone, and
+    // is recomputed when one of those changed.
+    std::fill(last_member.begin(), last_member.begin() + slots, -1);
+    std::size_t dirty_count = 0;
     for (std::size_t p = 0; p < n; ++p) {
-      const double d_mu = cpu[p] + dyn_mu[p] * s;
-      const double d_var = dyn_var[p] * s2;
-      // start = max over parents' finish (Clark fold over the same
-      // position-space CSR the kernel walks).
-      double s_mu = 0;
-      double s_var = 0;
-      const std::size_t pb = owner_->parent_offsets_[p];
-      const std::size_t pe = owner_->parent_offsets_[p + 1];
-      if (pb != pe) {
-        s_mu = fin_mu[owner_->parents_[pb]];
-        s_var = fin_var[owner_->parents_[pb]];
-        for (std::size_t e = pb + 1; e < pe; ++e) {
-          clark_max(s_mu, s_var, fin_mu[owner_->parents_[e]],
-                    fin_var[owner_->parents_[e]], s_mu, s_var);
-        }
+      const workflow::TaskId t = topo[p];
+      const sim::TaskPlacement& place = plan[t];
+      const bool retyped =
+          prev == nullptr || (*prev)[t].vm_type != place.vm_type;
+      std::int32_t pred = -2;
+      if (place.group >= 0) {
+        const auto g = static_cast<std::size_t>(place.group);
+        pred = last_member[g];
+        last_member[g] = static_cast<std::int32_t>(p);
       }
-      const std::int32_t g = plan[owner_->topo_[p]].group;
-      if (g >= 0) {
-        // Grouped tasks serialize on their shared instance:
-        // finish = max(start, avail) + d.
-        clark_max(s_mu, s_var, avail_mu[static_cast<std::size_t>(g)],
-                  avail_var[static_cast<std::size_t>(g)], s_mu, s_var);
+      bool redo = retyped || pred != group_pred[p] ||
+                  (pred >= 0 && redone[static_cast<std::size_t>(pred)] != 0);
+      for (std::size_t e = parent_offsets[p];
+           !redo && e < parent_offsets[p + 1]; ++e) {
+        redo = redone[parents[e]] != 0;
       }
-      const double f_mu = s_mu + d_mu;
-      const double f_var = s_var + d_var;
-      fin_mu[p] = f_mu;
-      fin_var[p] = f_var;
-      if (g >= 0) {
-        avail_mu[static_cast<std::size_t>(g)] = f_mu;
-        avail_var[static_cast<std::size_t>(g)] = f_var;
+      group_pred[p] = pred;
+      redone[p] = redo ? 1 : 0;
+      if (redo) dirty[dirty_count++] = static_cast<std::int32_t>(p);
+      if (retyped) {
+        const auto& seg =
+            owner_->segment_cache_[owner_->segment_slot(t, place.vm_type)];
+        dyn_mu[p] = seg.dyn_mean;
+        dyn_var[p] = seg.dyn_var;
+        cpu[p] = seg.cpu;
       }
-      if (!billed) {
-        cost += d_mu * price_hour[p] / 3600.0;
-      } else if (g >= 0) {
-        gtime_mu[static_cast<std::size_t>(g)] += d_mu;
-        gtime_var[static_cast<std::size_t>(g)] += d_var;
-      } else {
-        cost += expected_billed_hours(d_mu, d_var) * price_hour[p];
-      }
-      if (owner_->sink_[p]) {
-        if (!mk_set) {
-          mk_mu = f_mu;
-          mk_var = f_var;
-          mk_set = true;
-        } else {
-          clark_max(mk_mu, mk_var, f_mu, f_var, mk_mu, mk_var);
+      const bool repriced = retyped || (*prev)[t].region != place.region ||
+                            ((*prev)[t].group < 0) != (place.group < 0);
+      if (!repriced) continue;
+      price_hour[p] = catalog.price(place.vm_type, place.region);
+      for (std::size_t k = 0; k < kNodes; ++k) {
+        const double d_mu = cpu[p] + dyn_mu[p] * speed[k];
+        const double d_var = dyn_var[p] * speed2[k];
+        if (!billed) {
+          cost_term[kNodes * p + k] = d_mu * price_hour[p] / 3600.0;
+        } else if (place.group < 0) {
+          cost_term[kNodes * p + k] =
+              expected_billed_hours(d_mu, d_var) * price_hour[p];
         }
       }
     }
-    if (billed) {
+    counts.positions += n;
+    counts.positions_recomputed += dirty_count;
+
+    // Redo the dirty folds: start = max over parents' finish (a Clark fold
+    // over the same position-space CSR the kernel walks), then, on a shared
+    // instance, max with the group predecessor's finish; finish = start plus
+    // the duration.  The fold's prefix before the first redone parent read
+    // unchanged finishes, so it resumes from the stored running fold there
+    // (on a retyped position with clean parents, the whole fold is reused).
+    for (std::size_t j = 0; j < dirty_count; ++j) {
+      const auto p = static_cast<std::size_t>(dirty[j]);
+      const std::size_t pb = parent_offsets[p];
+      const std::size_t pe = parent_offsets[p + 1];
+      std::size_t resume = pb;
+      while (resume < pe && redone[parents[resume]] == 0) ++resume;
+      const std::int32_t pred = group_pred[p];
+      for (std::size_t k = 0; k < kNodes; ++k) {
+        const double d_mu = cpu[p] + dyn_mu[p] * speed[k];
+        const double d_var = dyn_var[p] * speed2[k];
+        double s_mu = 0;
+        double s_var = 0;
+        if (pb != pe) {
+          std::size_t e = resume;
+          if (e == pb) {
+            s_mu = fin_mu[kNodes * parents[pb] + k];
+            s_var = fin_var[kNodes * parents[pb] + k];
+            fold_mu[kNodes * pb + k] = s_mu;
+            fold_var[kNodes * pb + k] = s_var;
+            ++e;
+          } else {
+            s_mu = fold_mu[kNodes * (e - 1) + k];
+            s_var = fold_var[kNodes * (e - 1) + k];
+          }
+          for (; e < pe; ++e) {
+            clark_max(s_mu, s_var, fin_mu[kNodes * parents[e] + k],
+                      fin_var[kNodes * parents[e] + k], s_mu, s_var);
+            fold_mu[kNodes * e + k] = s_mu;
+            fold_var[kNodes * e + k] = s_var;
+          }
+        }
+        if (pred != -2) {
+          const std::size_t q = kNodes * static_cast<std::size_t>(pred) + k;
+          clark_max(s_mu, s_var, pred >= 0 ? fin_mu[q] : 0.0,
+                    pred >= 0 ? fin_var[q] : 0.0, s_mu, s_var);
+        }
+        fin_mu[kNodes * p + k] = s_mu + d_mu;
+        fin_var[kNodes * p + k] = s_var + d_var;
+      }
+    }
+
+    // Cost and makespan per node.  The cost sum and the sink fold run over
+    // every position in order, so each node's result comes from the same
+    // expression in the same order as a fresh propagation's.
+    std::array<double, kNodes> node_cost{};
+    if (!billed) {
+      for (std::size_t p = 0; p < n; ++p) {
+        for (std::size_t k = 0; k < kNodes; ++k) {
+          node_cost[k] += cost_term[kNodes * p + k];
+        }
+      }
+    } else {
+      std::fill(gtime_mu.begin(), gtime_mu.begin() + kNodes * slots, 0.0);
+      std::fill(gtime_var.begin(), gtime_var.begin() + kNodes * slots, 0.0);
+      for (std::size_t p = 0; p < n; ++p) {
+        const std::int32_t g = plan[topo[p]].group;
+        for (std::size_t k = 0; k < kNodes; ++k) {
+          if (g < 0) {
+            node_cost[k] += cost_term[kNodes * p + k];
+            continue;
+          }
+          // Grouped tasks share an instance: its billed hours cover the
+          // members' summed durations.
+          const std::size_t slot = kNodes * static_cast<std::size_t>(g) + k;
+          gtime_mu[slot] += cpu[p] + dyn_mu[p] * speed[k];
+          gtime_var[slot] += dyn_var[p] * speed2[k];
+        }
+      }
+      std::fill(group_price.begin(), group_price.begin() + slots, 0.0);
+      std::fill(group_count.begin(), group_count.begin() + slots, 0.0);
+      for (workflow::TaskId t = 0; t < n; ++t) {
+        if (plan[t].group >= 0) {
+          const auto g = static_cast<std::size_t>(plan[t].group);
+          group_price[g] = catalog.price(plan[t].vm_type, plan[t].region);
+          group_count[g] += 1.0;
+        }
+      }
       for (std::size_t g = 0; g < slots; ++g) {
         if (group_count[g] == 0.0) continue;
-        cost += expected_billed_hours(gtime_mu[g], gtime_var[g]) *
-                group_price[g];
+        for (std::size_t k = 0; k < kNodes; ++k) {
+          node_cost[k] += expected_billed_hours(gtime_mu[kNodes * g + k],
+                                                gtime_var[kNodes * g + k]) *
+                          group_price[g];
+        }
       }
     }
-    node_mu[k] = mk_mu;
-    node_var[k] = mk_var;
-    node_cost[k] = cost;
-  }
-
-  // Mix the conditional normals: exact mixture mean/variance and the exact
-  // mixture deadline probability; the requirement quantile uses the moment-
-  // matched normal fit (a screen-grade approximation).
-  double mix_mu = 0;
-  double mix_m2 = 0;
-  double prob = 0;
-  for (std::size_t k = 0; k < kInterferenceNodes.size(); ++k) {
-    const double w = kNodeWeights[k];
-    mix_mu += w * node_mu[k];
-    mix_m2 += w * (node_var[k] + node_mu[k] * node_mu[k]);
-    out.mean_cost += w * node_cost[k];
-    if (node_var[k] <= 1e-18) {
-      prob += w * (node_mu[k] <= derated ? 1.0 : 0.0);
-    } else {
-      prob += w * norm_cdf((derated - node_mu[k]) / std::sqrt(node_var[k]));
+    std::array<double, kNodes> node_mu{};
+    std::array<double, kNodes> node_var{};
+    for (std::size_t k = 0; k < kNodes; ++k) {
+      const std::size_t first = kNodes * static_cast<std::size_t>(sinks[0]) + k;
+      node_mu[k] = fin_mu[first];
+      node_var[k] = fin_var[first];
+      for (std::size_t j = 1; j < sink_count; ++j) {
+        const std::size_t q = kNodes * static_cast<std::size_t>(sinks[j]) + k;
+        clark_max(node_mu[k], node_var[k], fin_mu[q], fin_var[q], node_mu[k],
+                  node_var[k]);
+      }
     }
+
+    // Mix the conditional normals: exact mixture mean/variance and the exact
+    // mixture deadline probability; the requirement quantile uses the
+    // moment-matched normal fit (a screen-grade approximation).
+    AnalyticScreen& result = out[i];
+    result = AnalyticScreen{};
+    double mix_mu = 0;
+    double mix_m2 = 0;
+    double prob = 0;
+    for (std::size_t k = 0; k < kNodes; ++k) {
+      const double w = kNodeWeights[k];
+      mix_mu += w * node_mu[k];
+      mix_m2 += w * (node_var[k] + node_mu[k] * node_mu[k]);
+      result.mean_cost += w * node_cost[k];
+      if (node_var[k] <= 1e-18) {
+        prob += w * (node_mu[k] <= derated ? 1.0 : 0.0);
+      } else {
+        prob += w * norm_cdf((derated - node_mu[k]) / std::sqrt(node_var[k]));
+      }
+    }
+    const double mix_var = std::max(mix_m2 - mix_mu * mix_mu, 0.0);
+    result.mean_makespan = mix_mu;
+    result.makespan_quantile =
+        mix_mu + util::normal_quantile(std::clamp(req.quantile, 1e-12,
+                                                  1.0 - 1e-12)) *
+                     std::sqrt(mix_var);
+    result.deadline_prob = prob;
+    result.z_margin =
+        util::normal_quantile(std::clamp(prob, 1e-12, 1.0 - 1e-12)) -
+        z_required;
   }
-  const double mix_var = std::max(mix_m2 - mix_mu * mix_mu, 0.0);
-  out.mean_makespan = mix_mu;
-  out.makespan_quantile =
-      mix_mu + util::normal_quantile(std::clamp(req.quantile, 1e-12,
-                                                1.0 - 1e-12)) *
-                   std::sqrt(mix_var);
-  out.deadline_prob = prob;
-  out.z_margin =
-      util::normal_quantile(std::clamp(prob, 1e-12, 1.0 - 1e-12)) - z_required;
-  return out;
+  return counts;
 }
 
 }  // namespace deco::core

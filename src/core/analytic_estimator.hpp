@@ -27,11 +27,22 @@
 // guard band: |margin| >= guard accepts/rejects outright, anything inside the
 // band escalates to Tier 1 sampling (see docs/performance.md).
 //
-// Like Tiers 1-2, the screen runs on the compute backend with one block per
-// plan.  A screen only reads the evaluator's segment table and DAG image and
-// writes its block's scratch arena, so a plan's result is a function of
-// (plan, requirement) alone, bit-identical across backends and worker counts.
+// The screen runs on the compute backend with one block per *run* of
+// consecutive plans of a wave, which a search emits as near neighbours.  The
+// block keeps each position's per-node finish moments in its scratch arena
+// from one plan of the run to the next, and redoes a position's Clark fold
+// only when it is dirty: its task's type differs from the previous plan's, a
+// parent position was redone, or its group predecessor (the previous
+// position on the same instance) changed or was redone.  Every other
+// position's moments are, bit for bit, what a fresh propagation would
+// compute, so results do not depend on how a wave is cut into runs: a plan's
+// screen is a function of (plan, requirement) alone, bit-identical across
+// run lengths, backends and worker counts.  A screen only reads the
+// evaluator's segment table and DAG image and writes its block's arena.
 #pragma once
+
+#include <cstddef>
+#include <span>
 
 #include "sim/plan.hpp"
 #include "vgpu/device.hpp"
@@ -54,19 +65,28 @@ struct AnalyticScreen {
   double z_margin = 0;
 };
 
+/// Work tally of one screened run (the eval.screen.positions* counters).
+struct ScreenRunCounts {
+  std::size_t positions = 0;             ///< positions screened, tasks x plans
+  std::size_t positions_recomputed = 0;  ///< of those, folds redone
+};
+
 class AnalyticEstimator {
  public:
   /// Borrows the evaluator (friend access to its segment table, DAG image
   /// and options); the evaluator must outlive this object.
   explicit AnalyticEstimator(const PlanEvaluator& owner);
 
-  /// Screens one plan against a probabilistic deadline.  Every segment the
-  /// plan places must already be staged in the owner's table (PlanEvaluator
-  /// resolves them serially before the launch).  Per-position and per-group
-  /// arrays are borrowed from the block's scratch arena, so concurrent
-  /// screens share no mutable state and steady state allocates nothing.
-  AnalyticScreen screen(const sim::Plan& plan, const ProbDeadline& req,
-                        vgpu::BlockContext& ctx) const;
+  /// Screens a run of plans against a probabilistic deadline, writing plan
+  /// i's result to out[i] (out.size() == run.size()); a single plan is a run
+  /// of one.  Every segment the run places must already be staged in the
+  /// owner's table (PlanEvaluator resolves them serially before the launch).
+  /// Per-position and per-group arrays are borrowed from the block's scratch
+  /// arena and live only for the call, so concurrent screens share no
+  /// mutable state and steady state allocates nothing.
+  ScreenRunCounts screen(std::span<const sim::Plan> run,
+                         const ProbDeadline& req, vgpu::BlockContext& ctx,
+                         std::span<AnalyticScreen> out) const;
 
  private:
   /// E[ceil(max(X, 1s) / 3600)] for X ~ N(mean, sqrt(var)) — the analytic

@@ -18,6 +18,12 @@ namespace {
 /// too loose to trust.
 constexpr std::size_t kTileLanes = 128;
 
+/// Plans per Tier 0 block: a screen launch cuts its wave into runs of this
+/// many consecutive plans, and each block carries finish moments from one
+/// plan of its run to the next.  Longer runs reuse more, but leave fewer
+/// blocks to spread over the backend's participants (docs/performance.md).
+constexpr std::size_t kScreenRunLength = 8;
+
 /// z-score of the Wilson interval that must clear (or fail) the required
 /// quantile before Tier 1 stops early: two-sided 99%.
 constexpr double kQmcConfidenceZ = 2.576;
@@ -660,6 +666,8 @@ void PlanEvaluator::record_screen_stats(const ScreenStats& delta) {
   screen_stats_.qmc_early_stops += delta.qmc_early_stops;
   screen_stats_.qmc_iterations_used += delta.qmc_iterations_used;
   screen_stats_.qmc_iterations_saved += delta.qmc_iterations_saved;
+  screen_stats_.positions += delta.positions;
+  screen_stats_.positions_recomputed += delta.positions_recomputed;
   DECO_OBS_COUNTER_ADD("eval.screen.accepted", delta.accepted);
   DECO_OBS_COUNTER_ADD("eval.screen.rejected", delta.rejected);
   DECO_OBS_COUNTER_ADD("eval.screen.escalated", delta.escalated);
@@ -667,6 +675,9 @@ void PlanEvaluator::record_screen_stats(const ScreenStats& delta) {
   DECO_OBS_COUNTER_ADD("eval.qmc.iterations", delta.qmc_iterations_used);
   DECO_OBS_COUNTER_ADD("eval.qmc.iterations_saved",
                        delta.qmc_iterations_saved);
+  DECO_OBS_COUNTER_ADD("eval.screen.positions", delta.positions);
+  DECO_OBS_COUNTER_ADD("eval.screen.positions_recomputed",
+                       delta.positions_recomputed);
 }
 
 std::vector<ScreenedEvaluation> PlanEvaluator::evaluate_batch_screened(
@@ -682,20 +693,31 @@ std::vector<ScreenedEvaluation> PlanEvaluator::evaluate_batch_screened(
   if (plans.empty()) return results;
   ScreenStats delta;
 
-  // Tier 0 as a launch, one block per plan.  Every segment the batch places
-  // is resolved serially first — the only step that writes the table — so
-  // the blocks only read it, and a plan's screen is a pure function of
-  // (plan, req) on any backend at any worker count.
+  // Tier 0 as a launch, one block per run of kScreenRunLength consecutive
+  // plans.  Every segment the batch places is resolved serially first — the
+  // only step that writes the table — so the blocks only read it, and a
+  // plan's screen is a pure function of (plan, req) on any backend at any
+  // worker count.  A placement whose type matches the previous plan's was
+  // resolved for that plan, so only the differing ones are looked up.
   std::vector<AnalyticScreen> screens(plans.size());
   {
     DECO_OBS_SPAN_TIMED("eval", "screen", "eval.screen_ms");
     util::BudgetTracker* const budget = budget_;
     enforce_memory_budget();
+    const sim::Plan* prev = nullptr;
     for (const sim::Plan& plan : plans) {
-      for (const workflow::TaskId t : topo_) segment(t, plan[t].vm_type);
+      for (const workflow::TaskId t : topo_) {
+        if (prev == nullptr || (*prev)[t].vm_type != plan[t].vm_type) {
+          segment(t, plan[t].vm_type);
+        }
+      }
+      prev = &plan;
     }
+    const std::size_t runs =
+        (plans.size() + kScreenRunLength - 1) / kScreenRunLength;
+    std::vector<ScreenRunCounts> counts(runs);
     vgpu::LaunchConfig config;
-    config.blocks = plans.size();
+    config.blocks = runs;
     config.lanes_per_block = 1;  // the screen draws nothing
     config.shared_doubles = 0;
     config.cancel = budget != nullptr ? budget->launch_cancel() : nullptr;
@@ -703,8 +725,18 @@ std::vector<ScreenedEvaluation> PlanEvaluator::evaluate_batch_screened(
     backend_->launch(config, [&](vgpu::BlockContext& ctx) {
       if (budget != nullptr) budget->checkpoint();
       const std::size_t block = ctx.block_index();
-      screens[block] = analytic.screen(plans[block], req, ctx);
+      const std::size_t first = block * kScreenRunLength;
+      const std::size_t count =
+          std::min(kScreenRunLength, plans.size() - first);
+      counts[block] =
+          analytic.screen(plans.subspan(first, count), req, ctx,
+                          std::span<AnalyticScreen>(screens).subspan(first,
+                                                                     count));
     });
+    for (const ScreenRunCounts& c : counts) {
+      delta.positions += c.positions;
+      delta.positions_recomputed += c.positions_recomputed;
+    }
   }
 
   // Escalate only the guard band.  Accepted and rejected plans cost zero

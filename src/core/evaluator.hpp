@@ -11,7 +11,8 @@
 // two world sources: Tier 2 draws each world from a per-lane RNG stream,
 // Tier 1 takes it from a shared Kronecker point set and may stop at a tile
 // boundary once a Wilson bound decides feasibility.  Tier 0, the analytic
-// screen, is a launch of its own over the same blocks-per-plan shape.  The
+// screen, is a launch of its own with one block per run of consecutive
+// plans, reusing moments from plan to plan (analytic_estimator.hpp).  The
 // histogram data is laid out as flat SoA arrays (per-position column
 // pointers into contiguous alias columns) so the kernel touches contiguous
 // memory — the paper's "memory-optimized" implementation.
@@ -154,6 +155,11 @@ struct ScreenStats {
   std::size_t qmc_iterations_used = 0;
   std::size_t qmc_iterations_saved = 0;  ///< vs. the mc_iterations cap
   std::size_t full_mc_verifications = 0;  ///< Tier 2 verifier invocations
+  /// Tier 0 work: positions screened (tasks x plans) and, of those, the
+  /// positions whose moment fold was redone rather than carried over from
+  /// the previous plan of the block's run.
+  std::size_t positions = 0;
+  std::size_t positions_recomputed = 0;
 };
 
 class PlanEvaluator {

@@ -574,7 +574,21 @@ int cmd_stats(const CliArgs& args, std::ostream& out) {
         << counter("eval.qmc.early_stops") << ", iterations saved "
         << counter("eval.qmc.iterations_saved") << "; full-MC re-solves "
         << counter("search.screen_fallbacks") << " ("
-        << counter("search.screen_skips") << " skipped the screened pass)\n";
+        << counter("search.screen_skips") << " skipped the screened pass)";
+    // Tier 0 reuse: the share of screened positions whose moment fold was
+    // recomputed rather than carried over from the previous plan of a run.
+    const std::uint64_t positions = counter("eval.screen.positions");
+    if (positions != 0) {
+      const std::uint64_t recomputed =
+          counter("eval.screen.positions_recomputed");
+      out << "; positions recomputed " << recomputed << "/" << positions
+          << " ("
+          << util::Table::num(100.0 * static_cast<double>(recomputed) /
+                                  static_cast<double>(positions),
+                              1)
+          << "%)";
+    }
+    out << "\n";
   }
   // At-a-glance WLog VM summary when a declarative solve ran (the wlog.vm.*
   // counters also appear in the counters table above).

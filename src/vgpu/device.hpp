@@ -39,6 +39,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -74,6 +75,7 @@ class BlockContext {
     shared_.assign(shared_doubles, 0.0);
     rng_ = block_rng;
     scratch_cursor_ = 0;
+    index_cursor_ = 0;
     // Derive the lane seed base from the block stream without consuming it.
     util::Rng probe = rng_;
     lane_base_ = probe();
@@ -94,6 +96,16 @@ class BlockContext {
   std::span<double> scratch_doubles(std::size_t count) {
     if (scratch_cursor_ == scratch_.size()) scratch_.emplace_back();
     auto& buf = scratch_[scratch_cursor_++];
+    if (buf.size() < count) buf.resize(count);
+    return {buf.data(), count};
+  }
+
+  /// Borrows `count` 32-bit integers from the block's reusable index arena,
+  /// under the same contract as scratch_doubles(): for a kernel's
+  /// per-position indices and flags.
+  std::span<std::int32_t> scratch_ints(std::size_t count) {
+    if (index_cursor_ == index_scratch_.size()) index_scratch_.emplace_back();
+    auto& buf = index_scratch_[index_cursor_++];
     if (buf.size() < count) buf.resize(count);
     return {buf.data(), count};
   }
@@ -122,6 +134,8 @@ class BlockContext {
   util::AlignedVector<double> shared_;
   std::vector<util::AlignedVector<double>> scratch_;
   std::size_t scratch_cursor_ = 0;
+  std::vector<std::vector<std::int32_t>> index_scratch_;
+  std::size_t index_cursor_ = 0;
   util::Rng rng_;
   std::uint64_t lane_base_ = 0;
 };

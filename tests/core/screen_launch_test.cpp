@@ -1,5 +1,6 @@
-// Tier 0 as a launch: the analytic screen runs one block per plan on the
-// compute backend, over the evaluator's one flat segment table.
+// Tier 0 as a launch: the analytic screen runs one block per run of
+// consecutive plans on the compute backend, over the evaluator's one flat
+// segment table (incremental_screen_test.cpp checks the reuse within a run).
 //   * a wave screened on a 3-worker vgpu backend matches the serial backend
 //     and one-plan-at-a-time screening bit for bit (hex floats), under both
 //     kAuto and kAnalytic and both cost models;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <fstream>
 #include <sstream>
 
@@ -585,6 +586,36 @@ TEST(CliRunTest, StatsRendersMetricsSummary) {
     EXPECT_NE(out.str().find("instrumentation compiled out"),
               std::string::npos);
   }
+}
+
+TEST(CliRunTest, StatsReportsTheRecomputedScreenShare) {
+  const std::string dax = temp_path("cli_stats_reuse.dax");
+  std::ostringstream gen;
+  ASSERT_EQ(run_cli(parse({"generate", "--app", "montage", "--degree", "1",
+                           "--out", dax}),
+                    gen),
+            0);
+  std::ostringstream out;
+  const int rc =
+      run_cli(parse({"stats", "--dax", dax, "--deadline", "100000"}), out);
+  EXPECT_EQ(rc, 0) << out.str();
+  if (!obs::kCompiledIn) return;
+  // "...; positions recomputed <recomputed>/<positions> (<share>%)" on the
+  // estimator screen line, matching the eval.screen.positions* counters.
+  const std::string text = out.str();
+  const std::string key = "positions recomputed ";
+  const auto at = text.find(key);
+  ASSERT_NE(at, std::string::npos) << text;
+  unsigned long long recomputed = 0;
+  unsigned long long positions = 0;
+  ASSERT_EQ(std::sscanf(text.c_str() + at + key.size(), "%llu/%llu",
+                        &recomputed, &positions),
+            2)
+      << text;
+  EXPECT_GT(positions, 0u);
+  EXPECT_GT(recomputed, 0u);
+  EXPECT_LT(recomputed, positions);
+  EXPECT_NE(text.find("eval.screen.positions_recomputed"), std::string::npos);
 }
 
 TEST(CliRunTest, StatsCountsTheSkippedScreenedPass) {
