@@ -273,6 +273,80 @@ TEST(SearchStatsTest, AstarFillsExpansionAndDuplicateCounters) {
   EXPECT_EQ(pruned.stats.states_expanded, pruned.stats.states_evaluated);
 }
 
+// Exact counters of both frontier orders on the toy graphs.  The
+// inequality checks above say what each counter means; these pin the
+// values, so a change to the wave loop that reorders, prunes or expands
+// differently fails here.
+struct ToyCounts {
+  std::size_t evaluated;
+  std::size_t expanded;
+  std::size_t pruned;
+  std::size_t duplicate_hits;
+  std::size_t waves;
+  int best;
+};
+
+void expect_counts(const SearchResult<int>& r, const ToyCounts& want) {
+  SCOPED_TRACE(::testing::Message()
+               << "actual {" << r.stats.states_evaluated << ", "
+               << r.stats.states_expanded << ", " << r.stats.states_pruned
+               << ", " << r.stats.duplicate_hits << ", " << r.stats.waves
+               << ", " << (r.best ? *r.best : -1) << "}");
+  EXPECT_EQ(r.stats.states_evaluated, want.evaluated);
+  EXPECT_EQ(r.stats.states_expanded, want.expanded);
+  EXPECT_EQ(r.stats.states_pruned, want.pruned);
+  EXPECT_EQ(r.stats.duplicate_hits, want.duplicate_hits);
+  EXPECT_EQ(r.stats.waves, want.waves);
+  EXPECT_EQ(r.best ? *r.best : -1, want.best);
+}
+
+SearchCallbacks<int> best_first(SearchCallbacks<int> cb) {
+  cb.g_score = [](const int& n) { return static_cast<double>(n); };
+  cb.h_score = [](const int&) { return 0.0; };
+  return cb;
+}
+
+TEST(SearchStatsTest, FifoOrderExactCounts) {
+  SearchOptions opt;
+  opt.max_states = 10000;
+  opt.batch_size = 8;
+  expect_counts(generic_search(0, tree_callbacks(10, 100), opt),
+                {101, 101, 0, 0, 15, 10});
+  expect_counts(generic_search(0, collide_callbacks(50), opt),
+                {52, 52, 0, 49, 27, 0});
+  SearchOptions maximize = opt;
+  maximize.minimize = false;
+  expect_counts(generic_search(0, collide_callbacks(50), maximize),
+                {52, 52, 0, 49, 27, 51});
+  SearchOptions capped = opt;
+  capped.max_states = 300;
+  capped.stale_wave_limit = 3;
+  expect_counts(generic_search(0, tree_callbacks(40, 4000), capped),
+                {71, 71, 0, 0, 11, 40});
+}
+
+TEST(SearchStatsTest, BestFirstOrderExactCounts) {
+  SearchOptions opt;
+  opt.max_states = 10000;
+  opt.batch_size = 8;
+  opt.monotone_objective = true;
+  expect_counts(astar_search(0, best_first(tree_callbacks(10, 100)), opt),
+                {15, 15, 16, 0, 4, 10});
+  expect_counts(astar_search(0, best_first(tree_callbacks(900, 4000)), opt),
+                {903, 903, 904, 0, 115, 900});
+  expect_counts(astar_search(0, best_first(collide_callbacks(50)), opt),
+                {1, 1, 2, 0, 1, 0});
+  SearchOptions maximize = opt;
+  maximize.minimize = false;
+  maximize.monotone_objective = false;
+  expect_counts(astar_search(0, best_first(collide_callbacks(50)), maximize),
+                {52, 52, 0, 49, 27, 51});
+  auto bounded = tree_callbacks(0, 255);
+  bounded.g_score = [](const int& n) { return static_cast<double>(n); };
+  bounded.h_score = [](const int& n) { return static_cast<double>(255 - n); };
+  expect_counts(astar_search(0, bounded, maximize), {159, 159, 19, 0, 22, 255});
+}
+
 // eval_stall_ms is the time spent inside cb.evaluate: at least the 2 ms each
 // wave sleeps there, and part of elapsed_ms.
 TEST(PipelinedSearchTest, EvalStallIsRecorded) {
