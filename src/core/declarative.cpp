@@ -318,17 +318,20 @@ DeclarativeResult DeclarativeSolver::solve(const wlog::Program& program,
   sopt.stale_wave_limit = options_.stale_wave_limit;
   sopt.budget = options_.budget;
 
-  const std::vector<int> initial(n, 0);
-  SearchResult<std::vector<int>> found;
+  // The A* scorers live at function scope: cb.g_score and cb.h_score use
+  // them for the whole search.
+  std::vector<wlog::TermPtr> modal_facts;
+  bool shared_predicate = false;
+  std::optional<wlog::Database> scorer_db;
+  std::optional<wlog::Solver> scorer;
   if (program.astar_enabled) {
     // f-scores run over their own database: the modal world, with the
-    // state's decision facts layered per call.  One solver serves the whole search, so its compiled-clause
-    // cache stays warm and only the decision predicate recompiles.  Clause
-    // order matters only within a predicate; when the decision facts share
-    // the group facts' predicate, the modal facts are layered after them on
-    // every call, as in a modal world built from the bound IR.
-    std::vector<wlog::TermPtr> modal_facts;
-    bool shared_predicate = false;
+    // state's decision facts layered per call.  One solver serves the whole
+    // search, so its compiled-clause cache stays warm and only the decision
+    // predicate recompiles.  Clause order matters only within a predicate;
+    // when the decision facts share the group facts' predicate, the modal
+    // facts are layered after them on every call, as in a modal world built
+    // from the bound IR.
     for (const wlog::ProbGroup& group : ir.groups()) {
       if (group.facts.empty()) continue;
       const auto modal = static_cast<std::size_t>(
@@ -340,37 +343,34 @@ DeclarativeResult DeclarativeSolver::solve(const wlog::Program& program,
           wlog::indicator(*modal_facts.back()) ==
               wlog::indicator(*decl.template_term);
     }
-    wlog::Database scorer_db = ir.base();
+    scorer_db.emplace(ir.base());
     if (!shared_predicate) {
-      for (const wlog::TermPtr& fact : modal_facts) scorer_db.add_fact(fact);
+      for (const wlog::TermPtr& fact : modal_facts) scorer_db->add_fact(fact);
     }
-    wlog::Solver scorer(scorer_db, options_.exec);
-    scorer.set_budget(options_.budget);
+    scorer.emplace(*scorer_db, options_.exec);
+    scorer->set_budget(options_.budget);
     auto score_via = [&](const char* predicate,
                          const std::vector<int>& assignment) {
-      const FactLayer layer(scorer_db);
-      assert_state(scorer_db, assignment);
+      const FactLayer layer(*scorer_db);
+      assert_state(*scorer_db, assignment);
       if (shared_predicate) {
         for (const wlog::TermPtr& fact : modal_facts) {
-          scorer_db.add_fact(fact);
+          scorer_db->add_fact(fact);
         }
       }
       const auto solutions =
-          scorer.query(std::string(predicate) + "(Score)", 1);
+          scorer->query(std::string(predicate) + "(Score)", 1);
       if (solutions.empty()) return 0.0;
       return solutions[0].number("Score");
     };
-    cb.g_score = [&](const std::vector<int>& a) {
+    cb.g_score = [score_via](const std::vector<int>& a) {
       return score_via("cal_g_score", a);
     };
-    cb.h_score = [&](const std::vector<int>& a) {
+    cb.h_score = [score_via](const std::vector<int>& a) {
       return score_via("est_h_score", a);
     };
-    sopt.monotone_objective = sopt.minimize;
-    found = astar_search(initial, cb, sopt);
-  } else {
-    found = generic_search(initial, cb, sopt);
   }
+  const auto found = search(std::vector<int>(n, 0), cb, sopt);
 
   result.stats = found.stats;
   result.budget = found.budget;

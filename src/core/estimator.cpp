@@ -148,10 +148,9 @@ void TaskTimeEstimator::build(const workflow::Workflow& wf,
   // Seed per (task, type) so the cache content does not depend on call order.
   util::Rng rng(options_.seed ^ (static_cast<std::uint64_t>(task) * 0x9E37 +
                                  static_cast<std::uint64_t>(type)));
-  const std::size_t samples = options_.convolution_samples;
-  dynamic_scratch_.resize(samples);
-  total_scratch_.resize(samples);
-  for (std::size_t i = 0; i < samples; ++i) {
+  dynamic_scratch_.resize(kConvolutionSamples);
+  total_scratch_.resize(kConvolutionSamples);
+  for (std::size_t i = 0; i < kConvolutionSamples; ++i) {
     double dyn = 0;
     for (const TermTable& term : terms) dyn += term.draw(rng);
     dynamic_scratch_[i] = dyn;

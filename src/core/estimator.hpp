@@ -40,9 +40,11 @@
 
 namespace deco::core {
 
+/// Monte Carlo draws per (task, type) when convolving the dynamic terms.
+inline constexpr std::size_t kConvolutionSamples = 512;
+
 struct EstimatorOptions {
   std::string provider = "ec2";
-  std::size_t convolution_samples = 512;  ///< MC draws per (task, type)
   std::size_t histogram_bins = 16;
   double rand_io_ops_per_task = 50;
   /// Model network fetch of parent outputs (assumes remote parents, the

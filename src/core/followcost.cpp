@@ -9,6 +9,8 @@ namespace deco::core {
 namespace {
 
 constexpr double kGB = 1024.0 * 1024.0 * 1024.0;
+/// DAG levels the online scenario executes per workflow and period.
+constexpr int kLevelsPerPeriod = 1;
 
 }  // namespace
 
@@ -137,7 +139,7 @@ MigrationDecision MigrationOptimizer::optimize(
   SearchOptions sopt = options;
   sopt.minimize = true;
   if (sopt.max_states == 0) sopt.max_states = 512;
-  const auto found = generic_search(current, cb, sopt);
+  const auto found = search(current, cb, sopt);
   decision.stats = found.stats;
   if (found.best) {
     decision.targets = *found.best;
@@ -192,8 +194,7 @@ EvacuationPlan choose_evacuation_region(const MigrationWorkflowState& state,
 
 FollowCostReport run_followcost_scenario(
     std::vector<MigrationWorkflowState> states, const cloud::Catalog& catalog,
-    const MigrationPolicy& policy, util::Rng& rng,
-    const FollowCostScenarioOptions& options) {
+    const MigrationPolicy& policy, util::Rng& rng) {
   FollowCostReport report;
   // Pre-compute per-workflow level structure.
   std::vector<std::vector<int>> levels(states.size());
@@ -228,13 +229,12 @@ FollowCostReport run_followcost_scenario(
         ++report.migrations;
       }
     }
-    // Execute one batch of levels per workflow with sampled dynamics.
+    // Execute a period's levels per workflow with sampled dynamics.
     for (std::size_t i = 0; i < states.size(); ++i) {
       MigrationWorkflowState& s = states[i];
       if (s.done()) continue;
       const int until =
-          std::min<int>(next_level[i] + static_cast<int>(options.levels_per_period),
-                        max_level[i] + 1);
+          std::min(next_level[i] + kLevelsPerPeriod, max_level[i] + 1);
       const cloud::InstanceType& vm = catalog.type(s.vm_type);
       const double price = catalog.price(s.vm_type, s.region) / 3600.0;
       double level_time = 0;

@@ -123,17 +123,11 @@ struct FollowCostReport {
   std::size_t deadline_violations = 0;
 };
 
-struct FollowCostScenarioOptions {
-  std::size_t levels_per_period = 1;  ///< DAG levels executed per period
-  std::uint64_t seed = 11;
-};
-
 /// Runs the online scenario: executes all workflows level-by-level with
 /// dynamics sampled from the catalog's ground truth, calling `policy` before
 /// each period and accounting costs at the regions then in force.
 FollowCostReport run_followcost_scenario(
     std::vector<MigrationWorkflowState> states, const cloud::Catalog& catalog,
-    const MigrationPolicy& policy, util::Rng& rng,
-    const FollowCostScenarioOptions& options = {});
+    const MigrationPolicy& policy, util::Rng& rng);
 
 }  // namespace deco::core

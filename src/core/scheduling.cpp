@@ -387,7 +387,6 @@ SchedulingResult SchedulingProblem::solve(const ProbDeadline& req,
 
   SearchOptions sopt = options.search;
   sopt.minimize = true;
-  SearchResult<sim::Plan> found;
   if (options.use_astar) {
     // g = h = estimated monetary cost of the state (Section 5.3's example).
     auto cost_estimate = [this](const sim::Plan& plan) {
@@ -401,11 +400,9 @@ SchedulingResult SchedulingProblem::solve(const ProbDeadline& req,
     };
     cb.g_score = cost_estimate;
     cb.h_score = [](const sim::Plan&) { return 0.0; };
-    sopt.monotone_objective = true;
-    found = astar_search(initial_plan(options.region), cb, sopt);
-  } else {
-    found = generic_search(initial_plan(options.region), cb, sopt);
   }
+  SearchResult<sim::Plan> found =
+      search(initial_plan(options.region), cb, sopt);
 
   result.stats = found.stats;
   result.stats.states_pruned += screen_rejections;

@@ -1,4 +1,5 @@
-// Parallel solver: generic search (Algorithm 2) and A* search (Section 5.3).
+// Parallel solver: one wave search (Algorithm 2), breadth-first or A*
+// (Section 5.3) by the frontier order the callbacks select.
 //
 // The solver is generic over the state type: the workflow-scheduling problem
 // searches instance-configuration plans, the declarative solver searches WLog
@@ -11,8 +12,8 @@
 //
 // Wave loop: each wave pulls up to batch_size states off the frontier,
 // scores them in one cb.evaluate call, then commits them in batch order —
-// incumbent update, bound prune, and expansion into the visited set and the
-// frontier.  The time spent inside cb.evaluate is reported as
+// incumbent update and expansion into the visited set and the frontier.
+// The time spent inside cb.evaluate is reported as
 // SearchStats::eval_stall_ms; the rest of elapsed_ms is the driver's own
 // work.  The callbacks all run on the calling thread, so they may share
 // mutable state (the evaluator parallelizes inside a wave, one block per
@@ -24,27 +25,29 @@
 // Expansion::fresh whether the visited set has seen it, and builds the child
 // only when it has not.  A duplicate therefore costs one key update and one
 // set probe — no state copy, no from-scratch hash.  cb.hash is the
-// from-scratch key, used once, for the root.  The breadth-first driver also
-// knows how many more states its budget can pop off the FIFO frontier, and
-// fresh() admits no child queued past that point: its key is recorded, but
-// the state is never built.
+// from-scratch key, used once, for the root.
 //
-// A* mode: when the user supplies g/h scores (cal_g_score / est_h_score in
-// WLog, or native callbacks here), states are expanded best-first and any
-// state whose g score already exceeds the best found feasible objective is
-// pruned — valid whenever children cannot improve on their parent (the
-// monotone-cost property the paper exploits: "child states configure tasks
-// with better instance types and thus always generate higher cost").  Only
-// fresh children are f-scored.
+// Frontier order: without g/h scores the frontier is a FIFO.  The driver
+// then knows how many more states its budget can pop off it, and fresh()
+// admits no child queued past that point: its key is recorded, but the
+// state is never built.  When the user supplies g/h scores (cal_g_score /
+// est_h_score in WLog, or native callbacks here) the frontier is a heap on
+// f = g + h, so states are expanded best-first (A* mode), and a popped
+// state whose f score cannot beat the best feasible objective found so far
+// is pruned.  Only fresh children are f-scored; a minimizing search also
+// prunes them at push time against the incumbent — valid whenever children
+// cannot improve on their parent (the monotone-cost property the paper
+// exploits: "child states configure tasks with better instance types and
+// thus always generate higher cost").
 #pragma once
 
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <limits>
 #include <optional>
-#include <queue>
 #include <span>
 #include <unordered_set>
 #include <utility>
@@ -64,9 +67,6 @@ struct SearchOptions {
   std::size_t max_states = 4096;   ///< evaluation budget
   std::size_t batch_size = 32;     ///< states per backend launch
   bool minimize = true;
-  /// Children never have a better objective than their parent; enables
-  /// bound pruning against the incumbent.
-  bool monotone_objective = false;
   /// Stop as soon as this many consecutive expansion waves bring no
   /// incumbent improvement (0 = run the full budget).
   std::size_t stale_wave_limit = 0;
@@ -79,13 +79,13 @@ struct SearchOptions {
   util::BudgetTracker* budget = nullptr;
 };
 
-/// Search-effort accounting, filled identically by both the breadth-first
-/// and the A* path (tests/core/search_test.cpp pins the invariants):
+/// Search-effort accounting, filled identically in both frontier orders
+/// (tests/core/search_test.cpp pins the invariants):
 ///   * every evaluated state is counted in states_evaluated;
-///   * states_expanded counts states whose children were generated
-///     (evaluated minus pruned, minus states cut off by budget/early stop);
-///   * states_pruned counts bound-pruned states (generic: post-evaluation
-///     bound prune; A*: additionally pop-time incumbent pruning);
+///   * states_expanded counts states whose children were generated: every
+///     evaluated state, unless a budget cut ends its wave first;
+///   * states_pruned counts incumbent-pruned states (best-first only: at
+///     pop time, and at push time when minimizing);
 ///   * duplicate_hits counts child keys Expansion::fresh rejected;
 ///   * visited_evicted counts hashes dropped when a memory budget shrinks
 ///     the visited set;
@@ -170,10 +170,11 @@ struct SearchCallbacks {
   std::function<void(const State& parent, std::uint64_t parent_key,
                      Expansion<State>& out)>
       expand;
-  /// From-scratch key; the drivers call it once, for the root.
+  /// From-scratch key; the driver calls it once, for the root.
   std::function<std::uint64_t(const State&)> hash;
   std::function<std::vector<Scored>(std::span<const State>)> evaluate;
-  /// A* heuristics; both null selects the generic search.
+  /// A* heuristics; either set makes the frontier best-first on g + h,
+  /// both null keeps it FIFO (breadth-first).
   std::function<double(const State&)> g_score;
   std::function<double(const State&)> h_score;
 };
@@ -325,7 +326,7 @@ inline VisitedSet make_visited(const util::BudgetTracker* budget) {
                     budget->memory_budget() > 0);
 }
 
-/// Wave-boundary budget service, shared by both drivers.  Publishes the
+/// Wave-boundary budget service, run before each wave.  Publishes the
 /// visited set's bytes, honors a pending shrink request from the evaluator's
 /// degradation ladder (halving down to `floor`; firing kMemory once the
 /// floor cannot satisfy the cap), and returns true when the solve must stop.
@@ -387,43 +388,95 @@ void finish_search(SearchResult<State>& result, const VisitedSet& visited,
 
 }  // namespace detail
 
-/// Breadth-first generic search with batched evaluation (Algorithm 2).
+/// The wave search (Algorithm 2).  The callbacks choose the frontier order:
+/// with cb.g_score or cb.h_score set it is best-first on f = g + h (the A*
+/// of Section 5.3), otherwise FIFO (breadth-first).
 template <typename State>
-SearchResult<State> generic_search(const State& initial,
-                                   const SearchCallbacks<State>& cb,
-                                   const SearchOptions& options) {
-  DECO_OBS_SPAN("search", "generic_search");
+SearchResult<State> search(const State& initial,
+                           const SearchCallbacks<State>& cb,
+                           const SearchOptions& options) {
+  const bool best_first = cb.g_score || cb.h_score;
+  DECO_OBS_SPAN("search", best_first ? "astar_search" : "generic_search");
   const auto t0 = std::chrono::steady_clock::now();
   SearchResult<State> result;
   detail::VisitedSet visited = detail::make_visited(options.budget);
   const std::size_t visited_floor =
       std::max<std::size_t>(options.batch_size, 64);
-  std::queue<std::pair<State, std::uint64_t>> frontier;  // state, key
-  const std::uint64_t root_key = cb.hash(initial);
-  frontier.emplace(initial, root_key);
-  visited.insert(root_key);
-  Expansion<State> expansion(
-      visited, result.stats.duplicate_hits,
-      [&frontier](State&& child, std::uint64_t key) {
-        frontier.emplace(std::move(child), key);
-      });
 
+  // The frontier is a FIFO, or a heap on f under `worse` when best-first.
+  struct Entry {
+    State state;
+    double f;
+    std::uint64_t key;
+  };
+  std::deque<Entry> frontier;
+  const double sign = options.minimize ? 1.0 : -1.0;
+  auto worse = [sign](const Entry& a, const Entry& b) {
+    return sign * a.f > sign * b.f;
+  };
+  auto pop = [&] {
+    if (!best_first) {
+      Entry e = std::move(frontier.front());
+      frontier.pop_front();
+      return e;
+    }
+    std::pop_heap(frontier.begin(), frontier.end(), worse);
+    Entry e = std::move(frontier.back());
+    frontier.pop_back();
+    return e;
+  };
   double bound = options.minimize ? std::numeric_limits<double>::infinity()
                                   : -std::numeric_limits<double>::infinity();
+  auto beats_bound = [&](double value) {
+    return detail::better(value, bound, options.minimize);
+  };
+
+  // States are f-scored as they are pushed (f = 0 without g/h scores).
+  // Best-first, a minimizing search prunes a child that cannot beat the
+  // incumbent: no child is cheaper than its parent (see the header).
+  const bool prune_pushes = best_first && options.minimize;
+  auto push = [&](State&& s, std::uint64_t key) {
+    const double g = cb.g_score ? cb.g_score(s) : 0;
+    const double f = g + (cb.h_score ? cb.h_score(s) : 0);
+    if (prune_pushes && result.best && !beats_bound(f)) {
+      ++result.stats.states_pruned;
+      return;
+    }
+    frontier.push_back(Entry{std::move(s), f, key});
+    if (best_first) std::push_heap(frontier.begin(), frontier.end(), worse);
+  };
+  // The g/h scorers may themselves observe the budget (e.g. WLog
+  // interpreters); a cut before the first state is scored yields an empty
+  // anytime result rather than an escaping exception.
+  bool budget_cut = false;
+  const std::uint64_t root_key = cb.hash(initial);
+  try {
+    push(State(initial), root_key);
+  } catch (const util::BudgetExhaustedError&) {
+    budget_cut = true;
+  }
+  visited.insert(root_key);
+  Expansion<State> expansion(visited, result.stats.duplicate_hits, push);
   std::size_t stale_waves = 0;
 
-  while (!frontier.empty() &&
+  while (!budget_cut && !frontier.empty() &&
          result.stats.states_evaluated < options.max_states) {
     if (detail::service_budget(options.budget, visited, visited_floor)) break;
-    // Pull one batch off the FIFO queue.
     std::vector<State> batch;
     std::vector<std::uint64_t> keys;
     while (!frontier.empty() && batch.size() < options.batch_size &&
            result.stats.states_evaluated + batch.size() < options.max_states) {
-      batch.push_back(std::move(frontier.front().first));
-      keys.push_back(frontier.front().second);
-      frontier.pop();
+      Entry e = pop();
+      // Prune against the incumbent: "by not placing the states with high g
+      // and h scores into the candidate list".
+      if (best_first && result.best && !beats_bound(e.f)) {
+        ++result.stats.states_pruned;
+        continue;
+      }
+      batch.push_back(std::move(e.state));
+      keys.push_back(e.key);
     }
+    if (batch.empty()) break;
     std::vector<Scored> scores;
     try {
       scores = detail::evaluate_wave(cb, batch, result.stats.eval_stall_ms);
@@ -438,137 +491,23 @@ SearchResult<State> generic_search(const State& initial,
 
     for (std::size_t i = 0; i < batch.size(); ++i) {
       const Scored& s = scores[i];
-      if (s.feasible &&
-          (!result.best || detail::better(s.objective, bound, options.minimize))) {
-        result.best = batch[i];
-        result.best_score = s;
-        bound = s.objective;
-        improved = true;
-      }
-      // Bound prune: with a monotone objective, a state already worse than
-      // the incumbent cannot lead to a better feasible descendant.
-      if (options.monotone_objective && result.best &&
-          !detail::better(s.objective, bound, options.minimize)) {
-        ++result.stats.states_pruned;
-        continue;
-      }
-      ++result.stats.states_expanded;
-      // The frontier is FIFO and the budget can pop at most `left` more
-      // states, so a child queued behind `left` others is never evaluated:
-      // it is marked seen (the dedup and its counters are unchanged) but not
-      // built.
-      const std::size_t left =
-          options.max_states - result.stats.states_evaluated;
-      expansion.set_room(left > frontier.size() ? left - frontier.size() : 0);
-      cb.expand(batch[i], keys[i], expansion);
-    }
-    stale_waves = improved ? 0 : stale_waves + 1;
-    if (options.stale_wave_limit > 0 && result.best &&
-        stale_waves >= options.stale_wave_limit) {
-      break;
-    }
-  }
-  detail::finish_search(result, visited, options.budget, t0,
-                        "search.generic_ms");
-  return result;
-}
-
-/// Best-first A* search using the user's g/h scores for ordering + pruning.
-template <typename State>
-SearchResult<State> astar_search(const State& initial,
-                                 const SearchCallbacks<State>& cb,
-                                 const SearchOptions& options) {
-  DECO_OBS_SPAN("search", "astar_search");
-  const auto t0 = std::chrono::steady_clock::now();
-  SearchResult<State> result;
-
-  struct Entry {
-    State state;
-    double f;
-    std::uint64_t key;
-  };
-  const double sign = options.minimize ? 1.0 : -1.0;
-  auto worse = [sign](const Entry& a, const Entry& b) {
-    return sign * a.f > sign * b.f;
-  };
-  std::priority_queue<Entry, std::vector<Entry>, decltype(worse)> open(worse);
-  detail::VisitedSet visited = detail::make_visited(options.budget);
-  const std::size_t visited_floor =
-      std::max<std::size_t>(options.batch_size, 64);
-
-  auto f_of = [&](const State& s) {
-    const double g = cb.g_score ? cb.g_score(s) : 0;
-    const double h = cb.h_score ? cb.h_score(s) : 0;
-    return g + h;
-  };
-  // The g/h scorers may themselves observe the budget (e.g. WLog
-  // interpreters); a cut before the first state is scored yields an empty
-  // anytime result rather than an escaping exception.
-  bool budget_cut = false;
-  const std::uint64_t root_key = cb.hash(initial);
-  try {
-    open.push(Entry{initial, f_of(initial), root_key});
-  } catch (const util::BudgetExhaustedError&) {
-    budget_cut = true;
-  }
-  visited.insert(root_key);
-
-  double bound = options.minimize ? std::numeric_limits<double>::infinity()
-                                  : -std::numeric_limits<double>::infinity();
-  std::size_t stale_waves = 0;
-  // Fresh children are f-scored as they are pushed; with a monotone
-  // objective, one that cannot beat the incumbent is pruned instead.
-  Expansion<State> expansion(
-      visited, result.stats.duplicate_hits,
-      [&](State&& child, std::uint64_t key) {
-        const double f = f_of(child);
-        if (result.best && options.monotone_objective &&
-            !detail::better(f, bound, options.minimize)) {
-          ++result.stats.states_pruned;
-          return;
-        }
-        open.push(Entry{std::move(child), f, key});
-      });
-
-  while (!budget_cut && !open.empty() &&
-         result.stats.states_evaluated < options.max_states) {
-    if (detail::service_budget(options.budget, visited, visited_floor)) break;
-    std::vector<State> batch;
-    std::vector<std::uint64_t> keys;
-    while (!open.empty() && batch.size() < options.batch_size &&
-           result.stats.states_evaluated + batch.size() < options.max_states) {
-      Entry e = open.top();
-      open.pop();
-      // Prune against the incumbent: "by not placing the states with high g
-      // and h scores into the candidate list".
-      if (result.best && !detail::better(e.f, bound, options.minimize)) {
-        ++result.stats.states_pruned;
-        continue;
-      }
-      batch.push_back(std::move(e.state));
-      keys.push_back(e.key);
-    }
-    if (batch.empty()) break;
-    std::vector<Scored> scores;
-    try {
-      scores = detail::evaluate_wave(cb, batch, result.stats.eval_stall_ms);
-    } catch (const util::BudgetExhaustedError&) {
-      break;  // anytime cut — the incumbent stands, the wave is discarded
-    }
-    result.stats.states_evaluated += batch.size();
-    ++result.stats.waves;
-    bool improved = false;
-
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      const Scored& s = scores[i];
-      if (s.feasible &&
-          (!result.best || detail::better(s.objective, bound, options.minimize))) {
+      if (s.feasible && (!result.best || beats_bound(s.objective))) {
         result.best = batch[i];
         result.best_score = s;
         bound = s.objective;
         improved = true;
       }
       ++result.stats.states_expanded;
+      if (!best_first) {
+        // The budget can pop at most `left` more states off the FIFO, so a
+        // child queued behind `left` others is never evaluated: it is
+        // marked seen (the dedup and its counters are unchanged) but not
+        // built.
+        const std::size_t left =
+            options.max_states - result.stats.states_evaluated;
+        expansion.set_room(left > frontier.size() ? left - frontier.size()
+                                                  : 0);
+      }
       try {
         cb.expand(batch[i], keys[i], expansion);
       } catch (const util::BudgetExhaustedError&) {
@@ -585,7 +524,7 @@ SearchResult<State> astar_search(const State& initial,
     }
   }
   detail::finish_search(result, visited, options.budget, t0,
-                        "search.astar_ms");
+                        best_first ? "search.astar_ms" : "search.generic_ms");
   return result;
 }
 

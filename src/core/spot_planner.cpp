@@ -4,6 +4,16 @@
 
 namespace deco::core {
 
+namespace {
+
+/// Lost attempts a spot task's slack must absorb, in units of its duration.
+constexpr double kSlackMultiple = 2.0;
+/// Allowance for waiting out a price spike until the market re-admits the
+/// bid.
+constexpr double kRevocationDelayS = 900;
+
+}  // namespace
+
 std::vector<double> task_slack(const workflow::Workflow& wf,
                                const sim::Plan& plan,
                                TaskTimeEstimator& estimator,
@@ -51,7 +61,7 @@ sim::SpotPolicy plan_spot_policy(const workflow::Workflow& wf,
   for (workflow::TaskId t = 0; t < n; ++t) {
     const double mean = estimator.mean_time(wf, t, plan[t].vm_type);
     policy.use_spot[t] =
-        slack[t] > options.slack_multiple * mean + options.revocation_delay_s;
+        slack[t] > kSlackMultiple * mean + kRevocationDelayS;
   }
   return policy;
 }

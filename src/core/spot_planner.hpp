@@ -14,15 +14,12 @@ namespace deco::core {
 
 struct SpotPlannerOptions {
   double bid_fraction = 0.6;
-  /// A task goes to spot if its slack exceeds this multiple of its own
-  /// duration (room for that many lost attempts)...
-  double slack_multiple = 2.0;
-  /// ...plus this absolute allowance for waiting out a price spike until
-  /// the market re-admits the bid (spikes decay over tens of minutes).
-  double revocation_delay_s = 900;
 };
 
-/// Decides the per-task spot policy for `plan` against `deadline_s`.
+/// Decides the per-task spot policy for `plan` against `deadline_s`: a task
+/// goes to spot if its slack exceeds twice its own duration (room for two
+/// lost attempts) plus 900 s for waiting out a price spike until the market
+/// re-admits the bid (spikes decay over tens of minutes).
 sim::SpotPolicy plan_spot_policy(const workflow::Workflow& wf,
                                  const sim::Plan& plan,
                                  TaskTimeEstimator& estimator,

@@ -10,6 +10,14 @@
 
 namespace deco::sim {
 
+namespace {
+
+/// Runs claimed per deque access when sharding: 1 maximizes stealing
+/// granularity.
+constexpr std::size_t kRunChunk = 1;
+
+}  // namespace
+
 std::uint64_t substream_seed(std::uint64_t base_seed,
                              std::uint64_t run_index) {
   // splitmix64 finalizer over base + golden-ratio-stepped index (the scheme
@@ -22,7 +30,6 @@ std::uint64_t substream_seed(std::uint64_t base_seed,
 }
 
 EnsembleRunner::EnsembleRunner(EnsembleOptions options) : options_(options) {
-  if (options_.chunk == 0) options_.chunk = 1;
   if (options_.pool == nullptr && options_.workers > 0) {
     owned_pool_ = std::make_unique<util::WorkStealingPool>(options_.workers);
   }
@@ -41,9 +48,10 @@ EnsembleReport EnsembleRunner::run(
   const auto t0 = std::chrono::steady_clock::now();
   // The registry the sweep reports into: whatever this thread resolves now
   // (usually the process-wide one; under nesting, the enclosing run's
-  // shard).  Captured per-run registries merge into it in index order.
+  // shard).  Each run's metrics go to a private registry shard, merged
+  // into it in index order.
   obs::Registry& parent = obs::Registry::instance();
-  const bool capture = options_.capture_metrics && parent.enabled();
+  const bool capture = parent.enabled();
 
   EnsembleReport report;
   report.runs = n;
@@ -95,7 +103,7 @@ EnsembleReport EnsembleRunner::run(
     for (std::size_t i = 0; i < n; ++i) run_one(i, 0);
   } else {
     const auto stats = pool->run(
-        n, options_.chunk,
+        n, kRunChunk,
         [&](std::size_t begin, std::size_t end, std::size_t participant) {
           for (std::size_t i = begin; i < end; ++i) run_one(i, participant);
         });

@@ -65,17 +65,10 @@ struct EnsembleOptions {
   /// Borrowed pool to shard on (overrides `workers` when non-null).  Reuse
   /// one pool across sweeps to amortize thread start-up.
   util::WorkStealingPool* pool = nullptr;
-  /// Runs claimed per deque access when sharding.  1 maximizes stealing
-  /// granularity; raise it when runs are very short.
-  std::size_t chunk = 1;
   /// Optional cooperative budget, polled before each run starts: once it
   /// fires, not-yet-started runs are skipped and counted, completed runs
   /// keep their results (anytime sweeps).
   util::BudgetTracker* budget = nullptr;
-  /// Capture each run's metrics into a private registry shard and merge
-  /// them into the parent registry in run-index order.  Disable only for
-  /// bodies that must observe the process-wide registry directly.
-  bool capture_metrics = true;
 };
 
 /// Handed to the run body: everything a run may derive state from.

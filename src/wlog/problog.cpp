@@ -57,6 +57,9 @@ ProbProgram translate_rules(const Program& program) {
 
 namespace {
 
+/// Proof steps per world; a proof that runs longer stops unproven.
+constexpr std::size_t kWorldStepLimit = 2'000'000;
+
 /// One Monte Carlo iteration: prove `query` in a sampled world; reports the
 /// first proof's variable binding (goal queries are functional per world).
 bool run_world(const ProbProgram& program, const TermPtr& query,
@@ -64,7 +67,7 @@ bool run_world(const ProbProgram& program, const TermPtr& query,
                const McOptions& options, double& value_out) {
   const Database world = program.sample_world(rng);
   Interpreter interp(world);
-  interp.set_step_limit(options.step_limit);
+  interp.set_step_limit(kWorldStepLimit);
   interp.set_budget(options.budget);
   Bindings bindings;
   bool proven = false;
@@ -95,7 +98,7 @@ class VmWorldRunner {
  public:
   VmWorldRunner(const ProbProgram& program, const McOptions& options)
       : program_(program), world_(program.base()), vm_(world_) {
-    vm_.set_step_limit(options.step_limit);
+    vm_.set_step_limit(kWorldStepLimit);
     vm_.set_budget(options.budget);
   }
 

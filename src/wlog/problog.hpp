@@ -77,7 +77,6 @@ struct McResult {
 
 struct McOptions {
   std::size_t max_iterations = 128;  ///< the paper's Max_iter
-  std::size_t step_limit = 2'000'000;
   /// Optional cooperative solve budget; when armed, each per-world
   /// interpreter checks it periodically and a fired budget aborts the MC
   /// loop by throwing util::BudgetExhaustedError.

@@ -50,9 +50,10 @@ struct ReactiveOptions {
   /// Replans allowed per run; past the cap the engine rides the current
   /// plan to completion (bounds both simulation and solver work).
   std::size_t max_replans = 6;
-  /// Home region every plan (initial and replanned) is pinned to; the CLI's
-  /// --region flag lands here.  Changes at runtime only through a regional
-  /// evacuation.
+  /// Home region every plan (initial and replanned) is pinned to.  Changes
+  /// at runtime only through a regional evacuation.  The CLI's --region
+  /// flag does not reach it: `deco run` executes through
+  /// PegasusWms::execute, pinned by PegasusWms::set_home_region.
   cloud::RegionId home_region = 0;
   /// React to a regional storm forecast by evacuating: cut ahead of the
   /// storm, pick a failover region with data-gravity costs (follow-cost

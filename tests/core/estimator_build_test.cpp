@@ -53,7 +53,7 @@ std::pair<util::Histogram, util::Histogram> reference_build(
                                 static_cast<std::uint64_t>(type)));
   std::vector<double> dynamic;
   std::vector<double> total;
-  for (std::size_t i = 0; i < options.convolution_samples; ++i) {
+  for (std::size_t i = 0; i < kConvolutionSamples; ++i) {
     double dyn = 0;
     if (seq && io_bytes > 0) {
       dyn += io_bytes / (std::max(seq->sample(rng), 1.0) * kMB);

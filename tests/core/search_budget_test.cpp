@@ -50,7 +50,7 @@ void expect_identical(const SearchResult<int>& a, const SearchResult<int>& b) {
 TEST(SearchBudgetTest, GenerousBudgetIsBitIdenticalToUnbudgeted) {
   SearchOptions opt;
   opt.max_states = 3000;
-  const auto plain = generic_search(0, tree_callbacks(10, 2000), opt);
+  const auto plain = search(0, tree_callbacks(10, 2000), opt);
 
   util::SolveBudget spec;
   spec.wall_ms = 1e9;
@@ -58,7 +58,7 @@ TEST(SearchBudgetTest, GenerousBudgetIsBitIdenticalToUnbudgeted) {
   util::BudgetTracker tracker(spec);
   SearchOptions budgeted = opt;
   budgeted.budget = &tracker;
-  const auto under = generic_search(0, tree_callbacks(10, 2000), budgeted);
+  const auto under = search(0, tree_callbacks(10, 2000), budgeted);
 
   expect_identical(plain, under);
   EXPECT_FALSE(under.budget.budget_exhausted);
@@ -75,15 +75,14 @@ TEST(SearchBudgetTest, GenerousBudgetIsBitIdenticalForAstar) {
   };
   SearchOptions opt;
   opt.max_states = 4000;
-  opt.monotone_objective = true;
-  const auto plain = astar_search(0, make(), opt);
+  const auto plain = search(0, make(), opt);
 
   util::SolveBudget spec;
   spec.wall_ms = 1e9;
   util::BudgetTracker tracker(spec);
   SearchOptions budgeted = opt;
   budgeted.budget = &tracker;
-  const auto under = astar_search(0, make(), budgeted);
+  const auto under = search(0, make(), budgeted);
   expect_identical(plain, under);
   EXPECT_FALSE(under.budget.budget_exhausted);
 }
@@ -102,7 +101,7 @@ TEST(SearchBudgetTest, TinyWallBudgetReturnsAnytimeIncumbent) {
   opt.batch_size = 4;
   opt.stale_wave_limit = 0;
   opt.budget = &tracker;
-  const auto r = generic_search(0, cb, opt);
+  const auto r = search(0, cb, opt);
   ASSERT_TRUE(r.best.has_value());
   EXPECT_TRUE(r.budget.budget_exhausted);
   EXPECT_EQ(r.budget.trigger, util::BudgetTrigger::kWallClock);
@@ -128,7 +127,7 @@ TEST(SearchBudgetTest, CancelTokenCutsSearchMidway) {
   opt.batch_size = 8;
   opt.stale_wave_limit = 0;
   opt.budget = &tracker;
-  const auto r = generic_search(0, cb, opt);
+  const auto r = search(0, cb, opt);
   ASSERT_TRUE(r.best.has_value());
   EXPECT_TRUE(r.budget.budget_exhausted);
   EXPECT_EQ(r.budget.trigger, util::BudgetTrigger::kCancel);
@@ -155,7 +154,7 @@ TEST(SearchBudgetTest, KernelBudgetExceptionBecomesAnytimeResult) {
   opt.batch_size = 8;
   opt.stale_wave_limit = 0;
   opt.budget = &tracker;
-  const auto r = generic_search(0, cb, opt);
+  const auto r = search(0, cb, opt);
   ASSERT_TRUE(r.best.has_value());
   EXPECT_TRUE(r.budget.budget_exhausted);
   EXPECT_EQ(r.budget.trigger, util::BudgetTrigger::kMemory);
@@ -184,7 +183,7 @@ TEST(SearchBudgetTest, ShrinkRequestEvictsOldestVisitedEntries) {
   opt.batch_size = 16;
   opt.stale_wave_limit = 0;
   opt.budget = &tracker;
-  const auto r = generic_search(0, cb, opt);
+  const auto r = search(0, cb, opt);
   EXPECT_TRUE(requested.load());
   EXPECT_GT(r.stats.visited_evicted, 0u);
   EXPECT_FALSE(r.budget.budget_exhausted);
@@ -209,7 +208,7 @@ TEST(SearchBudgetTest, ShrinkingPastTheFloorFiresMemoryCutoff) {
   opt.batch_size = 8;
   opt.stale_wave_limit = 0;
   opt.budget = &tracker;
-  const auto r = generic_search(0, cb, opt);
+  const auto r = search(0, cb, opt);
   ASSERT_TRUE(r.best.has_value());
   EXPECT_TRUE(r.budget.budget_exhausted);
   EXPECT_EQ(r.budget.trigger, util::BudgetTrigger::kMemory);

@@ -34,7 +34,7 @@ TEST(GenericSearchTest, FindsMinimumFeasible) {
   SearchOptions opt;
   opt.max_states = 1000;
   opt.minimize = true;
-  const auto r = generic_search(0, tree_callbacks(10, 100), opt);
+  const auto r = search(0, tree_callbacks(10, 100), opt);
   ASSERT_TRUE(r.best.has_value());
   EXPECT_EQ(*r.best, 10);
   EXPECT_DOUBLE_EQ(r.best_score.objective, 10.0);
@@ -44,7 +44,7 @@ TEST(GenericSearchTest, FindsMaximumWhenMaximizing) {
   SearchOptions opt;
   opt.max_states = 1000;
   opt.minimize = false;
-  const auto r = generic_search(0, tree_callbacks(0, 63), opt);
+  const auto r = search(0, tree_callbacks(0, 63), opt);
   ASSERT_TRUE(r.best.has_value());
   EXPECT_EQ(*r.best, 63);
 }
@@ -52,7 +52,7 @@ TEST(GenericSearchTest, FindsMaximumWhenMaximizing) {
 TEST(GenericSearchTest, RespectsStateBudget) {
   SearchOptions opt;
   opt.max_states = 17;
-  const auto r = generic_search(0, tree_callbacks(1 << 20, 1 << 22), opt);
+  const auto r = search(0, tree_callbacks(1 << 20, 1 << 22), opt);
   EXPECT_FALSE(r.best.has_value());  // feasible region unreachable in budget
   EXPECT_LE(r.stats.states_evaluated, 17u);
 }
@@ -60,25 +60,9 @@ TEST(GenericSearchTest, RespectsStateBudget) {
 TEST(GenericSearchTest, NoFeasibleStates) {
   SearchOptions opt;
   opt.max_states = 200;
-  const auto r = generic_search(0, tree_callbacks(1000, 100), opt);
+  const auto r = search(0, tree_callbacks(1000, 100), opt);
   EXPECT_FALSE(r.best.has_value());
   EXPECT_GT(r.stats.states_evaluated, 0u);
-}
-
-TEST(GenericSearchTest, MonotonePruningCutsStates) {
-  SearchOptions no_prune;
-  no_prune.max_states = 100000;
-  const auto full = generic_search(0, tree_callbacks(5, 2000), no_prune);
-
-  SearchOptions prune = no_prune;
-  prune.monotone_objective = true;
-  const auto pruned = generic_search(0, tree_callbacks(5, 2000), prune);
-
-  ASSERT_TRUE(full.best.has_value());
-  ASSERT_TRUE(pruned.best.has_value());
-  EXPECT_EQ(*full.best, *pruned.best);  // same optimum
-  EXPECT_LT(pruned.stats.states_evaluated, full.stats.states_evaluated);
-  EXPECT_GT(pruned.stats.states_pruned, 0u);
 }
 
 TEST(GenericSearchTest, StaleWaveLimitStopsEarly) {
@@ -86,7 +70,7 @@ TEST(GenericSearchTest, StaleWaveLimitStopsEarly) {
   opt.max_states = 1 << 20;
   opt.batch_size = 4;
   opt.stale_wave_limit = 3;
-  const auto r = generic_search(0, tree_callbacks(0, 1 << 18), opt);
+  const auto r = search(0, tree_callbacks(0, 1 << 18), opt);
   ASSERT_TRUE(r.best.has_value());
   EXPECT_LT(r.stats.states_evaluated, static_cast<std::size_t>(1) << 18);
 }
@@ -113,7 +97,7 @@ TEST(GenericSearchTest, VisitedStatesNotReexpanded) {
   };
   SearchOptions opt;
   opt.max_states = 10000;
-  generic_search(0, cb, opt);
+  search(0, cb, opt);
   EXPECT_LE(evaluations, 53u);  // each state evaluated at most once
 }
 
@@ -134,7 +118,7 @@ TEST(GenericSearchTest, ChildrenPastTheBudgetAreNotBuilt) {
   SearchOptions opt;
   opt.max_states = 40;
   opt.batch_size = 8;
-  const auto r = generic_search(0, cb, opt);
+  const auto r = search(0, cb, opt);
   EXPECT_EQ(r.stats.states_evaluated, 40u);
   EXPECT_EQ(r.stats.states_expanded, 40u);
   EXPECT_EQ(built, 39u);
@@ -148,8 +132,7 @@ TEST(AstarSearchTest, FindsOptimumWithAdmissibleHeuristic) {
   SearchOptions opt;
   opt.max_states = 5000;
   opt.minimize = true;
-  opt.monotone_objective = true;
-  const auto r = astar_search(0, cb, opt);
+  const auto r = search(0, cb, opt);
   ASSERT_TRUE(r.best.has_value());
   EXPECT_EQ(*r.best, 10);
 }
@@ -158,14 +141,12 @@ TEST(AstarSearchTest, ExpandsFewerStatesThanGeneric) {
   SearchOptions opt;
   opt.max_states = 100000;
   opt.batch_size = 8;
-  const auto generic = generic_search(0, tree_callbacks(900, 4000), opt);
+  const auto generic = search(0, tree_callbacks(900, 4000), opt);
 
   auto cb = tree_callbacks(900, 4000);
   cb.g_score = [](const int& n) { return static_cast<double>(n); };
   cb.h_score = [](const int&) { return 0.0; };
-  SearchOptions aopt = opt;
-  aopt.monotone_objective = true;
-  const auto astar = astar_search(0, cb, aopt);
+  const auto astar = search(0, cb, opt);
 
   ASSERT_TRUE(generic.best.has_value());
   ASSERT_TRUE(astar.best.has_value());
@@ -182,7 +163,7 @@ TEST(AstarSearchTest, MaximizeOrdersByHighestScore) {
   SearchOptions opt;
   opt.max_states = 10000;
   opt.minimize = false;
-  const auto r = astar_search(0, cb, opt);
+  const auto r = search(0, cb, opt);
   ASSERT_TRUE(r.best.has_value());
   EXPECT_EQ(*r.best, 255);
 }
@@ -190,7 +171,7 @@ TEST(AstarSearchTest, MaximizeOrdersByHighestScore) {
 TEST(SearchStatsTest, TimingPopulated) {
   SearchOptions opt;
   opt.max_states = 100;
-  const auto r = generic_search(0, tree_callbacks(5, 50), opt);
+  const auto r = search(0, tree_callbacks(5, 50), opt);
   EXPECT_GE(r.stats.elapsed_ms, 0.0);
   EXPECT_GT(r.stats.waves, 0u);
 }
@@ -221,26 +202,17 @@ TEST(SearchStatsTest, GenericFillsExpansionAndDuplicateCounters) {
   SearchOptions opt;
   opt.max_states = 10000;
   // Exhausted tree walk: every evaluated state is expanded, a binary tree
-  // has no duplicate children, nothing is pruned without monotonicity.
-  const auto tree = generic_search(0, tree_callbacks(10, 100), opt);
+  // has no duplicate children, and the FIFO order never prunes.
+  const auto tree = search(0, tree_callbacks(10, 100), opt);
   EXPECT_EQ(tree.stats.states_expanded, tree.stats.states_evaluated);
   EXPECT_EQ(tree.stats.duplicate_hits, 0u);
   EXPECT_EQ(tree.stats.states_pruned, 0u);
 
   // The collide graph visits 0..51 once each; every other generated child
   // is rejected by the visited set.
-  const auto diamond = generic_search(0, collide_callbacks(50), opt);
+  const auto diamond = search(0, collide_callbacks(50), opt);
   EXPECT_EQ(diamond.stats.states_expanded, diamond.stats.states_evaluated);
   EXPECT_GT(diamond.stats.duplicate_hits, 0u);
-
-  // With pruning active, expanded states are exactly the unpruned ones.
-  SearchOptions prune = opt;
-  prune.minimize = true;
-  prune.monotone_objective = true;
-  const auto pruned = generic_search(0, tree_callbacks(5, 2000), prune);
-  EXPECT_GT(pruned.stats.states_pruned, 0u);
-  EXPECT_EQ(pruned.stats.states_expanded + pruned.stats.states_pruned,
-            pruned.stats.states_evaluated);
 }
 
 TEST(SearchStatsTest, AstarFillsExpansionAndDuplicateCounters) {
@@ -253,7 +225,7 @@ TEST(SearchStatsTest, AstarFillsExpansionAndDuplicateCounters) {
   // advancing (minimizing would prune everything after the root, which is
   // the optimum of this graph).
   opt.minimize = false;
-  const auto r = astar_search(0, cb, opt);
+  const auto r = search(0, cb, opt);
   // A* expands every state it evaluates (its pruning happens pre-batch /
   // pre-push, never between evaluation and expansion).
   EXPECT_GT(r.stats.states_expanded, 0u);
@@ -265,9 +237,7 @@ TEST(SearchStatsTest, AstarFillsExpansionAndDuplicateCounters) {
   auto tree = tree_callbacks(10, 1000);
   tree.g_score = [](const int& n) { return static_cast<double>(n); };
   tree.h_score = [](const int&) { return 0.0; };
-  SearchOptions popt = opt;
-  popt.monotone_objective = true;
-  const auto pruned = astar_search(0, tree, popt);
+  const auto pruned = search(0, tree, opt);
   ASSERT_TRUE(pruned.best.has_value());
   EXPECT_GT(pruned.stats.states_pruned, 0u);
   EXPECT_EQ(pruned.stats.states_expanded, pruned.stats.states_evaluated);
@@ -310,18 +280,18 @@ TEST(SearchStatsTest, FifoOrderExactCounts) {
   SearchOptions opt;
   opt.max_states = 10000;
   opt.batch_size = 8;
-  expect_counts(generic_search(0, tree_callbacks(10, 100), opt),
+  expect_counts(search(0, tree_callbacks(10, 100), opt),
                 {101, 101, 0, 0, 15, 10});
-  expect_counts(generic_search(0, collide_callbacks(50), opt),
+  expect_counts(search(0, collide_callbacks(50), opt),
                 {52, 52, 0, 49, 27, 0});
   SearchOptions maximize = opt;
   maximize.minimize = false;
-  expect_counts(generic_search(0, collide_callbacks(50), maximize),
+  expect_counts(search(0, collide_callbacks(50), maximize),
                 {52, 52, 0, 49, 27, 51});
   SearchOptions capped = opt;
   capped.max_states = 300;
   capped.stale_wave_limit = 3;
-  expect_counts(generic_search(0, tree_callbacks(40, 4000), capped),
+  expect_counts(search(0, tree_callbacks(40, 4000), capped),
                 {71, 71, 0, 0, 11, 40});
 }
 
@@ -329,22 +299,20 @@ TEST(SearchStatsTest, BestFirstOrderExactCounts) {
   SearchOptions opt;
   opt.max_states = 10000;
   opt.batch_size = 8;
-  opt.monotone_objective = true;
-  expect_counts(astar_search(0, best_first(tree_callbacks(10, 100)), opt),
+  expect_counts(search(0, best_first(tree_callbacks(10, 100)), opt),
                 {15, 15, 16, 0, 4, 10});
-  expect_counts(astar_search(0, best_first(tree_callbacks(900, 4000)), opt),
+  expect_counts(search(0, best_first(tree_callbacks(900, 4000)), opt),
                 {903, 903, 904, 0, 115, 900});
-  expect_counts(astar_search(0, best_first(collide_callbacks(50)), opt),
+  expect_counts(search(0, best_first(collide_callbacks(50)), opt),
                 {1, 1, 2, 0, 1, 0});
   SearchOptions maximize = opt;
   maximize.minimize = false;
-  maximize.monotone_objective = false;
-  expect_counts(astar_search(0, best_first(collide_callbacks(50)), maximize),
+  expect_counts(search(0, best_first(collide_callbacks(50)), maximize),
                 {52, 52, 0, 49, 27, 51});
   auto bounded = tree_callbacks(0, 255);
   bounded.g_score = [](const int& n) { return static_cast<double>(n); };
   bounded.h_score = [](const int& n) { return static_cast<double>(255 - n); };
-  expect_counts(astar_search(0, bounded, maximize), {159, 159, 19, 0, 22, 255});
+  expect_counts(search(0, bounded, maximize), {159, 159, 19, 0, 22, 255});
 }
 
 // eval_stall_ms is the time spent inside cb.evaluate: at least the 2 ms each
@@ -357,7 +325,7 @@ TEST(PipelinedSearchTest, EvalStallIsRecorded) {
   };
   SearchOptions opt;
   opt.max_states = 100;
-  const auto r = generic_search(0, cb, opt);
+  const auto r = search(0, cb, opt);
   EXPECT_GE(r.stats.eval_stall_ms, 2.0 * static_cast<double>(r.stats.waves));
   EXPECT_LE(r.stats.eval_stall_ms, r.stats.elapsed_ms);
 }
@@ -370,7 +338,7 @@ TEST(PipelinedSearchTest, SpeculationExceptionPropagates) {
   };
   SearchOptions opt;
   opt.max_states = 100;
-  EXPECT_THROW(generic_search(0, cb, opt), std::runtime_error);
+  EXPECT_THROW(search(0, cb, opt), std::runtime_error);
 }
 
 }  // namespace
