@@ -58,8 +58,8 @@ const char* breaker_state_name(BreakerState state) {
 
 bool ApiFaultOptions::enabled() const {
   return throttle_rate_per_s > 0 || capacity_mtbo_s > 0 ||
-         transient_error_prob > 0 || describe_lag_s > 0 ||
-         spot_interruption_mtbf_s > 0 || weather.enabled();
+         transient_error_prob > 0 || spot_interruption_mtbf_s > 0 ||
+         weather.enabled();
 }
 
 BreakerState CircuitBreaker::state(double now) const {

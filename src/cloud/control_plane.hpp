@@ -4,11 +4,10 @@
 // The seed simulator assumed acquire/terminate always succeed instantly —
 // an implausibly reliable control plane.  Real IaaS APIs throttle
 // (RequestLimitExceeded), run out of per-type capacity
-// (InsufficientInstanceCapacity), return transient 5xx errors, serve
-// eventually-consistent describe results, and interrupt spot capacity with
-// an advance notice.  ControlPlane models all of these deterministically
-// from a single seed, and layers the resilience machinery a production
-// client needs on top:
+// (InsufficientInstanceCapacity), return transient 5xx errors, and
+// interrupt spot capacity with an advance notice.  ControlPlane models all
+// of these deterministically from a single seed, and layers the resilience
+// machinery a production client needs on top:
 //
 //   * capped exponential backoff with seeded full jitter (util::Backoff),
 //   * a per-operation circuit breaker (closed / open / half-open, state
@@ -80,10 +79,6 @@ struct ApiFaultOptions {
 
   /// Probability that any one API call fails with a transient 5xx.
   double transient_error_prob = 0;
-
-  /// Eventually-consistent describe: results reflect the world as it was
-  /// this many seconds ago.  Consumed by the reconciling Provisioner.
-  double describe_lag_s = 0;
 
   /// Spot interruptions: instances acquired through an interruption-enabled
   /// control plane are reclaimed after an exponential uptime with this mean

@@ -15,9 +15,7 @@
 //   * spot instances in the region share one reclamation draw per storm,
 //     so co-located spot capacity disappears synchronously,
 //   * instance crash rates are multiplied by `crash_hazard`
-//     (threaded into sim::FailureModel::sample_uptime by the executor),
-//   * the spot price process can be overloaded with a per-step demand
-//     spike (SpotPriceTrace::simulate's weather overload).
+//     (threaded into sim::FailureModel::sample_uptime by the executor).
 //
 // Determinism contract (same as ControlPlane / sim::FailureModel): the
 // process owns per-region RNG streams derived from one seed, storm windows

@@ -16,6 +16,12 @@
 namespace deco::wms {
 namespace {
 
+/// Region every run starts in; plans stay pinned to it until a regional
+/// evacuation moves them.
+constexpr cloud::RegionId kHomeRegion = 0;
+/// How far ahead of a forecast storm the evacuation cut lands, seconds.
+constexpr double kStormLeadS = 120;
+
 /// The not-yet-completed slice of a workflow, with the mapping back to the
 /// original task ids.  Edges from completed parents are dropped (their data
 /// is already on shared storage), so residual roots are exactly the tasks
@@ -189,7 +195,7 @@ ReactiveReport ReactiveEngine::run(const workflow::Workflow& wf,
   std::vector<std::uint8_t> done(wf.task_count(), 0);
   double clock = 0;        // global virtual time at the residual's start
   double last_finish = 0;  // global finish time of the latest completed task
-  cloud::RegionId home = options_.home_region;  // moves on evacuation
+  cloud::RegionId home = kHomeRegion;  // moves on evacuation
   util::Rng plan_rng(options_.seed);
 
   Residual residual;
@@ -273,11 +279,10 @@ ReactiveReport ReactiveEngine::run(const workflow::Workflow& wf,
     const double proactive_cut =
         notice_pending ? std::max(probe.first_notice_s, 1.0)
                        : std::numeric_limits<double>::infinity();
-    // Evacuation cuts `storm_lead_s` ahead of the forecast storm so the
+    // Evacuation cuts kStormLeadS ahead of the forecast storm so the
     // frontier data can move before the region goes dark.
     const double evacuation_cut =
-        storm_pending ? std::max(probe.first_storm_s - options_.storm_lead_s,
-                                 1.0)
+        storm_pending ? std::max(probe.first_storm_s - kStormLeadS, 1.0)
                       : std::numeric_limits<double>::infinity();
     const bool proactive =
         proactive_cut < reactive_cut && proactive_cut <= evacuation_cut;

@@ -50,20 +50,14 @@ struct ReactiveOptions {
   /// Replans allowed per run; past the cap the engine rides the current
   /// plan to completion (bounds both simulation and solver work).
   std::size_t max_replans = 6;
-  /// Home region every plan (initial and replanned) is pinned to.  Changes
-  /// at runtime only through a regional evacuation.  The CLI's --region
-  /// flag does not reach it: `deco run` executes through
-  /// PegasusWms::execute, pinned by PegasusWms::set_home_region.
-  cloud::RegionId home_region = 0;
-  /// React to a regional storm forecast by evacuating: cut ahead of the
-  /// storm, pick a failover region with data-gravity costs (follow-cost
-  /// Eqs. 8/9), and replan the residual there.  Off = ride the storm out
+  /// React to a regional storm forecast by evacuating: cut a fixed 120 s
+  /// ahead of the storm (the regional analogue of the spot notice lead),
+  /// pick a failover region with data-gravity costs (follow-cost Eqs. 8/9),
+  /// and replan the residual there.  Every run starts in region 0 and
+  /// changes region only through an evacuation.  Off = ride the storm out
   /// with the executor's retry/fallback machinery alone.  No effect without
   /// weather in `control` — traces stay bit-identical.
   bool evacuate_on_storm = true;
-  /// How far ahead of a forecast storm the evacuation cut lands (the
-  /// regional analogue of the spot notice lead).
-  double storm_lead_s = 120;
   /// Wall-clock budget for one primary-scheduler invocation, enforced as a
   /// real cooperative budget (SchedulerContext::budget): budget-aware
   /// schedulers return their best incumbent at the cutoff and that anytime

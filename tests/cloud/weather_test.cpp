@@ -3,13 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <string>
 
 #include "cloud/control_plane.hpp"
 #include "cloud/instance_type.hpp"
-#include "cloud/spot_market.hpp"
 
 namespace deco::cloud {
 namespace {
@@ -145,36 +143,6 @@ TEST(RegionalWeatherTest, RegionHazardSkewsStormArrivals) {
     }
   }
   EXPECT_GT(stormy[1], 2.0 * stormy[0]);
-}
-
-TEST(RegionalWeatherTest, WeatherOverloadLeavesWeatherlessTraceBitIdentical) {
-  const SpotModel model;
-  util::Rng rng_a(42), rng_b(42), rng_c(42);
-  const SpotPriceTrace base = SpotPriceTrace::simulate(0.5, model, 512, rng_a);
-  const SpotPriceTrace same =
-      SpotPriceTrace::simulate(0.5, model, 512, rng_b, nullptr, 0);
-  ASSERT_EQ(base.size(), same.size());
-  for (std::size_t i = 0; i < base.size(); ++i) {
-    char x[32], y[32];
-    std::snprintf(x, sizeof(x), "%a", base.prices()[i]);
-    std::snprintf(y, sizeof(y), "%a", same.prices()[i]);
-    ASSERT_STREQ(x, y) << "step " << i;
-  }
-
-  // With storms the price must ride above the weatherless trace during the
-  // storm windows (capped at on-demand).
-  RegionalWeather weather(1, stormy_options(), 17);
-  const SpotPriceTrace stormy =
-      SpotPriceTrace::simulate(0.5, model, 512, rng_c, &weather, 0);
-  bool lifted = false;
-  for (std::size_t i = 0; i < stormy.size(); ++i) {
-    const double t = static_cast<double>(i) * model.step_seconds;
-    if (weather.in_storm(0, t) && stormy.prices()[i] > base.prices()[i]) {
-      lifted = true;
-    }
-    EXPECT_GE(stormy.prices()[i] + 1e-12, base.prices()[i]);
-  }
-  EXPECT_TRUE(lifted);
 }
 
 TEST(RegionalWeatherTest, AllRegionStormExhaustsProvisioning) {
